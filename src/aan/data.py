@@ -524,10 +524,11 @@ def _structured_layout(n_attributes: int, n_classes: int):
     ]
     extras = n_classes - 10
     if extras > 0:
-        share = 0.04 * extras
-        scale = (1.0 - share) / sum(s.prob for s in scenes)
+        # 0.04 each, capped at half the scene mass in total so base scenes keep the rest
+        each = min(0.04, 0.5 / extras)
+        scale = (1.0 - each * extras) / sum(s.prob for s in scenes)
         scenes = [Scene(s.name, s.classes, s.prob * scale, s.twin_marker) for s in scenes]
-        scenes += [Scene(f"extra_{c}", (c,), 0.04) for c in range(10, n_classes)]
+        scenes += [Scene(f"extra_{c}", (c,), each) for c in range(10, n_classes)]
     return classes, scenes
 
 

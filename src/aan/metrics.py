@@ -137,8 +137,10 @@ def conditioning_window(active: np.ndarray, tau: int) -> np.ndarray:
     active = np.asarray(active, dtype=bool)
     if tau == 0:
         return active.copy()
-    hits = np.convolve(active.astype(np.float64), np.ones(2 * tau + 1), mode="same")
-    return hits > 0
+    # counts[t] = active frames before t; frame t sees [t - tau, t + tau] clipped to the video
+    counts = np.concatenate(([0], np.cumsum(active)))
+    t = np.arange(active.size)
+    return counts[np.minimum(t + tau + 1, active.size)] > counts[np.maximum(t - tau, 0)]
 
 
 @dataclass

@@ -4,6 +4,11 @@ Every learnable computation in the model is composed from the operations in
 this module.  float64 is the default precision (tests and gradient checking
 require it); float32 is accepted for faster training.  Gradients of masked
 positions are exactly zero, so padded frames can never leak into a loss.
+
+One backward per graph; intermediates are released.  `Tensor.backward` frees
+each interior node's gradient and backward closure (with the activations it
+captured) as soon as that closure has run, so a graph can be differentiated
+once.  Leaf gradients accumulate across backward calls on separate graphs.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ class EmptyMaskError(ValueError):
 _FLOAT_DTYPES = (np.float32, np.float64)
 
 _grad_enabled = True
+
+_RELEASED = ("backward through a graph that an earlier backward already released; "
+             "run the forward again to build a new graph")
 
 
 @contextmanager
@@ -65,6 +73,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _shared_weight_grad(a: np.ndarray, g: np.ndarray, lead: int) -> np.ndarray:
+    """Gradient of b in a @ b when b is shared across a's `lead` leading axes.
+
+    The leading axes are folded into the contraction, so the sum over them
+    happens inside one matmul instead of over a stack of per-frame products.
+    """
+    batch = a.shape[lead:-2]
+    order = (*range(lead, a.ndim - 2), *range(lead), a.ndim - 2, a.ndim - 1)
+    a2 = a.transpose(order).reshape(*batch, -1, a.shape[-1])
+    g2 = g.transpose(order).reshape(*batch, -1, g.shape[-1])
+    return np.swapaxes(a2, -1, -2) @ g2
 
 
 def _accumulate(t: "Tensor", grad: np.ndarray) -> None:
@@ -125,15 +146,30 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad=None) -> None:
-        """Backpropagate from this node; defaults to d(self)/d(self)=1 on scalars."""
+        """Backpropagate from this node; defaults to d(self)/d(self)=1 on scalars.
+
+        One backward per graph; intermediates are released: once an interior
+        node's closure has run, its gradient and closure are dropped.  Only
+        leaves keep (and accumulate) gradients.  Calling backward again
+        through a released graph raises RuntimeError.
+        """
+        if self._parents and self._backward is None:
+            raise RuntimeError(_RELEASED)
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without an explicit gradient needs a scalar output")
             grad = np.ones_like(self.data)
         _accumulate(self, np.asarray(grad, dtype=self.data.dtype))
         for node in reversed(_topo_order(self)):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            fn = node._backward
+            if fn is None:
+                if node._parents:
+                    raise RuntimeError(_RELEASED)
+                continue
+            g = node.grad
+            node.grad = node._backward = None
+            if g is not None:
+                fn(g)
 
     # -- arithmetic ----------------------------------------------------------
     def _lift(self, other) -> "Tensor":
@@ -195,11 +231,22 @@ class Tensor:
             raise DimensionError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
         out = _result(a @ b, (self, other))
         if out._parents:
+            lead = a.ndim - b.ndim
+            shared = lead > 0 and a.shape[lead:-2] == b.shape[:-2]
+
             def backward(g):
                 if self.requires_grad:
-                    _accumulate(self, _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape))
+                    if shared and b.ndim == 2:
+                        # one GEMM over all rows, not one per leading index
+                        ga = (g.reshape(-1, g.shape[-1]) @ b.T).reshape(a.shape)
+                    else:
+                        ga = _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)
+                    _accumulate(self, ga)
                 if other.requires_grad:
-                    _accumulate(other, _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
+                    if shared:
+                        _accumulate(other, _shared_weight_grad(a, g, lead))
+                    else:
+                        _accumulate(other, _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
             out._backward = backward
         return out
 

@@ -67,6 +67,14 @@ class TestSynth:
         doc = json.loads((tmp_path / "c" / "manifest.json").read_text())
         assert len(doc["videos"]) == 7
 
+    @pytest.mark.parametrize("classes", [51, 157])
+    def test_many_classes(self, tmp_path, capsys, classes):
+        out = tmp_path / "many"
+        assert run_cli(corpus_args(out, videos=20) + ["--n-classes", str(classes)]) == 0
+        capsys.readouterr()
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["class_count"] == classes
+
     def test_emits_resolved_config(self, tmp_path, capsys):
         assert run_cli(corpus_args(tmp_path / "d", videos=4)) == 0
         first = json.loads(capsys.readouterr().out.splitlines()[0])

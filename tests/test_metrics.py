@@ -119,6 +119,14 @@ class TestConditioningWindow:
         npt.assert_array_equal(conditioning_window(active, 1),
                                [False, True, True, True, False])
 
+    @pytest.mark.parametrize("tau", [20, 40])
+    def test_video_shorter_than_window(self, tau):
+        active = np.zeros(12, bool)
+        active[[3, 9]] = True
+        npt.assert_array_equal(conditioning_window(active, tau), np.ones(12, bool))
+        npt.assert_array_equal(conditioning_window(np.zeros(12, bool), tau),
+                               np.zeros(12, bool))
+
     def test_windows_are_monotone_in_tau(self):
         rng = np.random.default_rng(4)
         active = rng.random(30) < 0.2
@@ -181,6 +189,25 @@ class TestActionConditional:
                 npt.assert_allclose(got.recall, expected["recall"], atol=1e-9)
                 npt.assert_allclose(got.f1, expected["f1"], atol=1e-9)
                 npt.assert_allclose(got.mean_ap, expected["mean_ap"], atol=1e-9)
+
+    @pytest.mark.parametrize("tau", [20, 40])
+    def test_videos_shorter_than_window_match_enumeration(self, tau):
+        # lengths straddle 2*tau + 1 at tau = 20; every video is shorter at 40
+        for seed in range(5):
+            rng = np.random.default_rng([seed, tau])
+            lengths = (5, 30, 45)
+            scores = [np.round(rng.random((t, 3)), 2) for t in lengths]
+            labels = [(rng.random((t, 3)) < 0.1).astype(float) for t in lengths]
+            masks = [np.arange(t) < t - 2 for t in lengths]
+            run = run_from(scores, labels, masks)
+            got = action_conditional_metrics(run, tau, 0.5)
+            expected = enumerate_conditional(run, tau, 0.5)
+            assert got.pairs_skipped == expected["skipped"]
+            for key in ("precision", "recall", "f1", "mean_ap"):
+                if expected[key] is None:
+                    assert getattr(got, key) is None
+                else:
+                    npt.assert_allclose(getattr(got, key), expected[key], atol=1e-9)
 
     def test_never_active_condition_skips_all_pairs(self):
         scores = np.random.default_rng(5).random((8, 2))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -397,6 +399,91 @@ class TestGraphMechanics:
         out.backward()
         assert np.isfinite(out.data).all()
         assert np.isfinite(x.grad).all()
+
+
+MATMUL_SHAPES = {
+    "frames_nodes_by_weight": ((4, 3, 5), (5, 2)),        # bottleneck, temporal mix
+    "heads_by_per_head_weight": ((3, 2, 4, 3), (2, 3, 2)),  # attention w1, w2, w3
+    "frames_by_per_node_weight": ((4, 3), (2, 3, 5)),     # attribute extractor
+    "heads_by_broadcast_weight": ((3, 2, 4, 3), (1, 3, 2)),
+    "plain": ((4, 3), (3, 5)),
+}
+
+
+class TestMatmulGradients:
+    @pytest.mark.parametrize("name", sorted(MATMUL_SHAPES))
+    def test_matches_finite_differences(self, name):
+        sa, sb = MATMUL_SHAPES[name]
+        rng = np.random.default_rng(20)
+        w = rng.standard_normal((np.zeros(sa) @ np.zeros(sb)).shape)
+        result = grad_check(lambda t: (t["a"] @ t["b"] * Tensor(w)).sum(),
+                            {"a": rng.standard_normal(sa), "b": rng.standard_normal(sb)})
+        assert result.passed, result.per_input
+
+    @pytest.mark.parametrize("name", sorted(MATMUL_SHAPES))
+    def test_matches_unbroadcast_formula(self, name):
+        sa, sb = MATMUL_SHAPES[name]
+        rng = np.random.default_rng(21)
+        a = Tensor(rng.standard_normal(sa), requires_grad=True)
+        b = Tensor(rng.standard_normal(sb), requires_grad=True)
+        out = a @ b
+        g = rng.standard_normal(out.shape)
+        out.backward(g)
+        npt.assert_allclose(a.grad, tn._unbroadcast(g @ np.swapaxes(b.data, -1, -2), sa),
+                            rtol=0, atol=1e-12)
+        npt.assert_allclose(b.grad, tn._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, sb),
+                            rtol=0, atol=1e-12)
+
+
+class TestGraphRelease:
+    def graph(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        hidden = (x @ w).relu()
+        return x, w, hidden, hidden.sum()
+
+    def test_only_leaves_keep_gradients(self):
+        x, w, hidden, loss = self.graph()
+        loss.backward()
+        assert x.grad is not None and w.grad is not None
+        assert hidden.grad is None and loss.grad is None
+        assert hidden._backward is None and loss._backward is None
+
+    def test_second_backward_through_same_root_raises(self):
+        x, _, _, loss = self.graph()
+        loss.backward()
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        npt.assert_array_equal(x.grad, first)
+
+    def test_new_root_over_released_nodes_raises(self):
+        _, _, hidden, loss = self.graph()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            (hidden * 2.0).sum().backward()
+
+    def test_backward_peak_memory_stays_near_leaf_gradients(self):
+        # 20 shared-weight layers: each activation is 1 MiB, each weight 0.5 MiB.
+        # Holding every intermediate gradient, or building per-frame weight
+        # products, needs several times the leaf gradients' 11 MiB.
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.standard_normal((64, 8, 256)), requires_grad=True)
+        weights = [Tensor(rng.standard_normal((256, 256)) / 16, requires_grad=True)
+                   for _ in range(20)]
+        h = x
+        for w in weights:
+            h = (h @ w).relu()
+        loss = h.sum()
+        leaf_bytes = x.data.nbytes + sum(w.data.nbytes for w in weights)
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * leaf_bytes, f"backward peak {peak / 2 ** 20:.1f} MiB"
 
 
 def _case_affine(rng):
