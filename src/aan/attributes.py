@@ -17,7 +17,6 @@ from .tensor import (
     DimensionError,
     Tensor,
     make_batch_norm_state,
-    mse_to_anchor,
     batch_norm,
 )
 
@@ -86,9 +85,3 @@ def select_anchor_prompt(anchors: AnchorSet, mode: str, seed: int, epoch: int,
     else:
         idx = 0
     return anchors.anchors[:, idx, :].astype(np.float64)
-
-
-def attribute_loss(extracted: Tensor, anchors_selected: Tensor,
-                   mask: np.ndarray | None = None) -> Tensor:
-    """Mean squared distance between extracted features and their anchors."""
-    return mse_to_anchor(extracted, anchors_selected, mask)

@@ -184,8 +184,7 @@ def cmd_eval(args) -> int:
     _emit_config("eval", {
         "manifest": str(args.manifest), "checkpoint": args.checkpoint,
         "scores": args.scores, "split": args.split, "conditional": bool(args.conditional),
-        "tau": taus, "threshold": args.threshold, "jobs": args.jobs,
-        "curves": bool(args.curves),
+        "tau": taus, "threshold": args.threshold, "curves": bool(args.curves),
     })
     videos = load_split(index, args.split)
     if not videos:
@@ -202,7 +201,7 @@ def cmd_eval(args) -> int:
                 f"checkpoint expects dim {state.config.input_dim}/{state.config.n_classes} classes, "
                 f"corpus has {index.dim}/{index.class_count}"
             )
-        run = evaluate(state, videos, jobs=args.jobs)
+        run = evaluate(state, videos)
 
     report = evaluate_run(run, taus=taus, threshold=args.threshold, curves=args.curves)
     print(json.dumps({"report": report.to_dict()}, sort_keys=True))
@@ -230,7 +229,7 @@ def _faulty_identity(t: Tensor) -> Tensor:
 
 def _gradcheck_suite(seed: int, inject_fault: bool = False):
     """(name, result) for every differentiable operation and the full model."""
-    from .attributes import AttributeExtractorParams, attribute_loss, extract_attributes
+    from .attributes import AttributeExtractorParams, extract_attributes
     from .graph import (
         CoOccurrencePrior, ModelConfig, attention_adjacency, bottleneck,
         graph_conv, init_model_state, temporal_mix,
@@ -301,7 +300,7 @@ def _gradcheck_suite(seed: int, inject_fault: bool = False):
     def f_extract(t):
         params = AttributeExtractorParams(weight=t["w"], bn=None)
         out = extract_attributes(Tensor(f_ext), params, "train", mask=mask_ext)
-        return attribute_loss(out, Tensor(a_ext), mask_ext)
+        return mse_to_anchor(out, Tensor(a_ext), mask_ext)
 
     checks.append(("extract_attributes", f_extract,
                    {"w": rng.standard_normal((2, 3, 3))}))
@@ -465,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conditional", action="store_true")
     p.add_argument("--tau", default="0,20,40", help="comma-separated window radii")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--curves", action="store_true",
                    help="include per-class precision-at-positive curves")
     p.add_argument("--table", action="store_true", help="also print a plain table to stderr")

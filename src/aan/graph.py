@@ -11,13 +11,12 @@ head into per-class logits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attributes import (
     AttributeExtractorParams,
-    attribute_loss,
     extract_attributes,
     init_extractor,
 )
@@ -32,6 +31,7 @@ from .tensor import (
     bce_with_logits,
     depthwise_temporal_conv,
     mean_pool_nodes,
+    mse_to_anchor,
     softmax_lastaxis,
 )
 
@@ -57,7 +57,17 @@ class CoOccurrencePrior:
 
 def build_prior(label_sets: list, attribute_map: AttributeMap, n_attributes: int,
                 frame_counts: list | None = None) -> CoOccurrencePrior:
-    """Count frame-level attribute co-occurrence over training labels.
+    """Count frame-level attribute co-occurrence over interval label sets,
+    densifying one video at a time (see prior_from_dense)."""
+    if frame_counts is None:
+        frame_counts = [ls.min_frame_count() for ls in label_sets]
+    dense = (ls.densify(t) for ls, t in zip(label_sets, frame_counts) if t > 0)
+    return prior_from_dense(dense, attribute_map, n_attributes)
+
+
+def prior_from_dense(dense_labels, attribute_map: AttributeMap,
+                     n_attributes: int) -> CoOccurrencePrior:
+    """Count frame-level attribute co-occurrence over dense [T, C] label matrices.
 
     An attribute is active at a frame iff some active class involves it.
     Rows of attributes that never occur are all zero.
@@ -67,12 +77,7 @@ def build_prior(label_sets: list, attribute_map: AttributeMap, n_attributes: int
             f"attribute map covers {attribute_map.attribute_count} attributes, expected {n_attributes}"
         )
     counts = np.zeros((n_attributes, n_attributes), dtype=np.int64)
-    if frame_counts is None:
-        frame_counts = [ls.min_frame_count() for ls in label_sets]
-    for ls, t in zip(label_sets, frame_counts):
-        if t == 0:
-            continue
-        dense = ls.densify(t)
+    for dense in dense_labels:
         active = attribute_map.frame_attributes(dense).astype(np.int64)
         counts += active.T @ active
     totals = np.diag(counts).copy()
@@ -161,7 +166,7 @@ class ModelState:
         return AttributeExtractorParams(weight=self.params["extractor.weight"], bn=bn)
 
     def active_param_names(self) -> list:
-        """Parameters the optimizer may touch under the configured ablation."""
+        """Parameters the configured wiring reads; the only ones a state holds."""
         cfg = self.config
         if cfg.ablation == "linear":
             return ["linear.weight", "linear.bias"]
@@ -180,7 +185,7 @@ class ModelState:
         return names
 
     def active_params(self) -> dict:
-        return {name: self.params[name] for name in self.active_param_names()}
+        return self.params
 
 
 def init_model_state(config: ModelConfig, prior: CoOccurrencePrior, seed: int,
@@ -189,7 +194,9 @@ def init_model_state(config: ModelConfig, prior: CoOccurrencePrior, seed: int,
 
     Linear weights draw from a uniform fan-in scheme; biases start at zero;
     temporal kernels start as a near-identity impulse so early training
-    behaves like per-frame classification.
+    behaves like per-frame classification.  Every wiring draws the same
+    tensors in the same order, so a kept tensor does not depend on the
+    wiring; only those the wiring reads are kept.
     """
     config.validate()
     if prior.attribute_count != config.n_attributes:
@@ -237,8 +244,12 @@ def init_model_state(config: ModelConfig, prior: CoOccurrencePrior, seed: int,
     params["linear.weight"] = fan_in((d0, config.n_classes), d0)
     params["linear.bias"] = zeros(config.n_classes)
 
-    adam = AdamState.for_params(params, learning_rate=learning_rate)
-    return ModelState(config=config, params=params, buffers=buffers, prior=prior, adam=adam)
+    state = ModelState(config=config, params=params, buffers=buffers, prior=prior, adam=None)
+    state.params = {name: params[name] for name in state.active_param_names()}
+    if config.ablation == "linear":
+        state.buffers = {}
+    state.adam = AdamState.for_params(state.params, learning_rate=learning_rate)
+    return state
 
 
 def clone_state(state: ModelState) -> ModelState:
@@ -388,16 +399,12 @@ def total_loss(result: ForwardResult, dense_labels: np.ndarray,
     anchors = np.asarray(anchors_selected, dtype=result.attributes.data.dtype)
     if normalize_anchors:
         anchors = anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
-    attr = attribute_loss(result.attributes, Tensor(anchors), mask)
+    attr = mse_to_anchor(result.attributes, Tensor(anchors), mask)
     if attribute_weight == 1.0:
         total = action + attr
     else:
         total = action + attr * attribute_weight
     return LossBreakdown(total=total, action=action.item(), attribute=attr.item())
-
-
-def config_to_dict(config: ModelConfig) -> dict:
-    return asdict(config)
 
 
 def config_from_dict(doc: dict) -> ModelConfig:

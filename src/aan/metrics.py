@@ -71,12 +71,7 @@ def average_precision(scores, labels) -> float:
     n_pos = labels.sum()
     if n_pos == 0:
         raise NoPositivesError("average precision undefined without positive labels")
-    order = np.argsort(-scores, kind="stable")
-    ranked = labels[order]
-    cumulative = np.cumsum(ranked)
-    ranks = np.arange(1, len(ranked) + 1)
-    at_positives = ranked > 0
-    return float((cumulative[at_positives] / ranks[at_positives]).mean())
+    return float(precision_at_positives(scores, labels).mean())
 
 
 def precision_at_positives(scores, labels) -> np.ndarray:

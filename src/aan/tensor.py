@@ -339,14 +339,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # free functions used throughout the model
 # ---------------------------------------------------------------------------
 
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
 def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """y = x @ weight (+ bias) over the last axis of x."""
     if x.shape[-1] != weight.shape[0]:

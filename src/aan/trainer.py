@@ -13,7 +13,6 @@ import hashlib
 import json
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -27,13 +26,13 @@ from .graph import (
     ModelConfig,
     ModelState,
     SchedulerState,
-    build_prior,
     config_from_dict,
     forward,
     init_model_state,
+    prior_from_dense,
     total_loss,
 )
-from .metrics import EvalRun, VideoEval
+from .metrics import EvalRun, VideoEval, per_frame_map
 from .optim import AdamState, adam_step, clip_global_norm, zero_grads
 
 CHECKPOINT_MAGIC = b"AANC"
@@ -190,6 +189,7 @@ class EpochReport:
     mean_attribute: float
     video_count: int
     learning_rate: float
+    mean_ap: float | None = None  # val only; the epoch record logs it as val_map
     duration_s: float = 0.0       # excluded from determinism comparisons
 
     def log_record(self) -> dict:
@@ -222,41 +222,38 @@ def load_corpus(index: CorpusIndex, dtype=np.float64) -> LoadedCorpus:
     )
 
 
-def _video_losses(batch, state: ModelState, anchors, config: TrainConfig, mode: str,
-                  epoch: int):
-    breakdowns = []
-    for i, video_id in enumerate(batch.video_ids):
-        selected = select_anchor_prompt(anchors, mode, config.seed, epoch, video_id) \
-            if state.config.ablation != "linear" else None
-        result = forward(batch.features[i], selected, state, mode, mask=batch.masks[i])
-        breakdowns.append(total_loss(
-            result, batch.labels[i], selected, batch.masks[i],
-            attribute_weight=state.config.attribute_weight,
-            normalize_anchors=state.config.normalize_anchors,
-        ))
-    return breakdowns
+def _video_loss(result, state: ModelState, anchors, config: TrainConfig, mode: str,
+                epoch: int, video_id: str, labels, mask):
+    selected = select_anchor_prompt(anchors, mode, config.seed, epoch, video_id) \
+        if state.config.ablation != "linear" else None
+    return total_loss(result, labels, selected, mask,
+                      attribute_weight=state.config.attribute_weight,
+                      normalize_anchors=state.config.normalize_anchors)
 
 
 def run_epoch(state: ModelState, corpus: LoadedCorpus, config: TrainConfig,
               mode: str) -> EpochReport:
-    """One pass over a split: optimize on train batches, measure on others."""
+    """One pass over a split: optimize on padded train batches; on val, run
+    each video once, unpadded, through predict's forward for its losses and
+    its scores."""
     if mode not in ("train", "val"):
         raise ValueError(f"unknown epoch mode {mode!r}")
     videos = corpus.train if mode == "train" else corpus.val
     if not videos:
         raise ValueError(f"empty {mode} split")
-    train = mode == "train"
     epoch = state.epoch
-    batches = make_batches(videos, config.batch_size,
-                           max_frames=config.max_frames if train else None,
-                           train=train, seed=config.seed, epoch=epoch)
-    active = state.active_params()
     started = time.perf_counter()
-    totals, actions, attributes, count = 0.0, 0.0, 0.0, 0
+    losses, mean_ap = [], None    # losses: (total, action, attribute) per video
 
-    for batch in batches:
-        if train:
-            breakdowns = _video_losses(batch, state, corpus.anchors, config, "train", epoch)
+    if mode == "train":
+        active = state.active_params()
+        for batch in make_batches(videos, config.batch_size, max_frames=config.max_frames,
+                                  train=True, seed=config.seed, epoch=epoch):
+            breakdowns = []
+            for i, video_id in enumerate(batch.video_ids):
+                result = forward(batch.features[i], None, state, "train", mask=batch.masks[i])
+                breakdowns.append(_video_loss(result, state, corpus.anchors, config, "train",
+                                              epoch, video_id, batch.labels[i], batch.masks[i]))
             batch_loss = breakdowns[0].total
             for b in breakdowns[1:]:
                 batch_loss = batch_loss + b.total
@@ -270,20 +267,30 @@ def run_epoch(state: ModelState, corpus: LoadedCorpus, config: TrainConfig,
             if config.grad_clip:
                 clip_global_norm(active, config.grad_clip)
             adam_step(active, state.adam)
-        else:
-            with tn.no_grad():
-                breakdowns = _video_losses(batch, state, corpus.anchors, config, "eval", epoch)
-        for b in breakdowns:
-            totals += b.total.item()
-            actions += b.action
-            attributes += b.attribute
-            count += 1
+            losses += [(b.total.item(), b.action, b.attribute) for b in breakdowns]
+    else:
+        scored = []
+        with tn.no_grad():
+            for v in videos:
+                result = forward(v.features, None, state, "eval", mask=v.mask)
+                b = _video_loss(result, state, corpus.anchors, config, "eval", epoch,
+                                v.video_id, v.labels, v.mask)
+                losses.append((b.total.item(), b.action, b.attribute))
+                scored.append(VideoEval(v.video_id, result.logits.sigmoid().data,
+                                        v.labels, v.mask))
+        mean_ap = per_frame_map(EvalRun(scored)).mean_ap
 
+    totals = actions = attributes = 0.0
+    for total, action, attribute in losses:
+        totals += total
+        actions += action
+        attributes += attribute
+    count = len(losses)
     return EpochReport(
         epoch=epoch, mode=mode,
         mean_total=totals / count, mean_action=actions / count,
         mean_attribute=attributes / count, video_count=count,
-        learning_rate=state.adam.learning_rate,
+        learning_rate=state.adam.learning_rate, mean_ap=mean_ap,
         duration_s=time.perf_counter() - started,
     )
 
@@ -300,31 +307,10 @@ def predict_scores(state: ModelState, features: np.ndarray,
         return result.logits.sigmoid().data
 
 
-def evaluate(state: ModelState, videos: list, jobs: int = 1) -> EvalRun:
+def evaluate(state: ModelState, videos: list) -> EvalRun:
     """Score a list of LoadedVideo into an EvalRun; read-only on the state."""
-    def one(video):
-        return VideoEval(
-            video_id=video.video_id,
-            scores=predict_scores(state, video.features, video.mask),
-            labels=video.labels,
-            mask=video.mask,
-        )
-
-    # the outer no_grad keeps the graph switch off for the whole pool; the
-    # nested switch inside predict_scores is then a no-op in every thread
-    with tn.no_grad():
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(one, videos))
-        else:
-            results = [one(v) for v in videos]
-    return EvalRun(results)
-
-
-def validation_map(state: ModelState, videos: list) -> float | None:
-    from .metrics import per_frame_map
-
-    return per_frame_map(evaluate(state, videos)).mean_ap
+    return EvalRun([VideoEval(v.video_id, predict_scores(state, v.features, v.mask),
+                              v.labels, v.mask) for v in videos])
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +363,19 @@ def save_checkpoint(state: ModelState, path) -> None:
 def load_checkpoint(path) -> ModelState:
     path = Path(path)
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        prefix = fh.read(14)
+        if len(prefix) < 14:
+            raise CheckpointError(f"{path}: truncated header")
+        magic = prefix[:4]
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-        version, blob_len = struct.unpack("<HQ", fh.read(10))
+        version, blob_len = struct.unpack("<HQ", prefix[4:])
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(blob_len).decode("utf-8"))
+        blob = fh.read(blob_len)
+        if len(blob) < blob_len:
+            raise CheckpointError(f"{path}: truncated header")
+        header = json.loads(blob.decode("utf-8"))
         payload = fh.read()
 
     config = config_from_dict(header["model_config"])
@@ -498,11 +490,8 @@ def train(index_or_corpus, config: TrainConfig, out_dir=None,
             n_attributes=corpus.anchors.attribute_count,
             n_classes=dims.labels.shape[1],
         )
-        prior = build_prior(
-            _train_label_sets(corpus),
-            corpus.attribute_map, corpus.anchors.attribute_count,
-            frame_counts=[v.features.shape[0] for v in corpus.train],
-        )
+        prior = prior_from_dense([v.labels for v in corpus.train], corpus.attribute_map,
+                                 corpus.anchors.attribute_count)
         state = init_model_state(model_config, prior, seed=config.seed,
                                  learning_rate=config.learning_rate)
 
@@ -524,7 +513,7 @@ def train(index_or_corpus, config: TrainConfig, out_dir=None,
     for epoch in range(state.epoch, config.max_epochs):
         train_report = run_epoch(state, corpus, config, "train")
         val_report = run_epoch(state, corpus, config, "val")
-        val_map = validation_map(state, corpus.val)
+        val_map = val_report.mean_ap
         new_lr = scheduler.step(val_report.mean_total)
         state.epoch = epoch + 1
 
@@ -560,21 +549,3 @@ def train(index_or_corpus, config: TrainConfig, out_dir=None,
     return TrainResult(state=state, history=history, best_val_loss=best_val_loss,
                        best_val_map=best_val_map, best_epoch=best_epoch)
 
-
-def _train_label_sets(corpus: LoadedCorpus):
-    """Adapt loaded dense labels back into interval-free label views.
-
-    build_prior only needs densified activity, so wrap each video's dense
-    matrix in a minimal object exposing densify()/min_frame_count().
-    """
-    class _DenseLabels:
-        def __init__(self, dense):
-            self._dense = dense
-
-        def densify(self, frame_count):
-            return self._dense[:frame_count]
-
-        def min_frame_count(self):
-            return self._dense.shape[0]
-
-    return [_DenseLabels(v.labels) for v in corpus.train]

@@ -4,14 +4,13 @@ import pytest
 
 from aan.attributes import (
     AttributeExtractorParams,
-    attribute_loss,
     extract_attributes,
     init_extractor,
     select_anchor_prompt,
 )
 from aan.data import AnchorSet
 from aan.optim import grad_check
-from aan.tensor import DimensionError, Tensor
+from aan.tensor import DimensionError, Tensor, mse_to_anchor
 
 
 def make_params(n, d0, rng, use_bn=True):
@@ -62,7 +61,7 @@ class TestExtractAttributes:
         def f(t):
             params = AttributeExtractorParams(weight=t["w"], bn=None)
             out = extract_attributes(Tensor(frames), params, "train", mask=mask)
-            return attribute_loss(out, Tensor(anchors), mask)
+            return mse_to_anchor(out, Tensor(anchors), mask)
 
         result = grad_check(f, {"w": rng.standard_normal((2, 3, 3))})
         assert result.max_rel_err <= 1e-5, result.per_input
@@ -78,7 +77,7 @@ class TestExtractAttributes:
             params.bn.gain = t["gain"]
             params.bn.bias = t["bias"]
             out = extract_attributes(Tensor(frames), params, "train")
-            return attribute_loss(out, Tensor(anchors))
+            return mse_to_anchor(out, Tensor(anchors))
 
         result = grad_check(f, {
             "w": rng.standard_normal((2, 2, 2)),
@@ -97,7 +96,7 @@ class TestExtractAttributes:
         )
         frames = Tensor(np.broadcast_to(anchor, (4, 6)).copy())
         out = extract_attributes(frames, params, "eval")
-        loss = attribute_loss(out, Tensor(anchor[None, :]))
+        loss = mse_to_anchor(out, Tensor(anchor[None, :]))
         assert loss.item() < 1e-24
 
 
@@ -111,8 +110,8 @@ class TestTrainedExtractorGeometry:
         empty frames and buries this effect (see decisions ledger).
         """
         from aan.data import SynthSpec, generate_synthetic_corpus, LoadedVideo
-        from aan.graph import build_prior, forward, init_model_state
-        from aan.trainer import LoadedCorpus, TrainConfig, _train_label_sets, run_epoch
+        from aan.graph import forward, init_model_state, prior_from_dense
+        from aan.trainer import LoadedCorpus, TrainConfig, run_epoch
         from aan import tensor as tn
 
         spec = SynthSpec(video_count=100, max_frames=48, dim=32, noise_sigma=0.0,
@@ -127,8 +126,7 @@ class TestTrainedExtractorGeometry:
                               attribute_map=raw.attribute_map)
 
         config = TrainConfig.desk_profile(seed=7)
-        prior = build_prior(_train_label_sets(corpus), corpus.attribute_map, 6,
-                            frame_counts=[v.features.shape[0] for v in corpus.train])
+        prior = prior_from_dense([v.labels for v in corpus.train], corpus.attribute_map, 6)
         model_config = config.model_config(32, 6, 6)
         model_config.use_batch_norm = False
         state = init_model_state(model_config, prior, seed=7,
@@ -204,16 +202,16 @@ class TestAttributeLoss:
         rng = np.random.default_rng(11)
         anchors = rng.standard_normal((3, 4))
         stacked = np.broadcast_to(anchors, (5, 3, 4)).copy()
-        assert attribute_loss(Tensor(stacked), Tensor(anchors)).item() == 0.0
+        assert mse_to_anchor(Tensor(stacked), Tensor(anchors)).item() == 0.0
 
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(12)
         anchors = rng.standard_normal((2, 3))
         delta = rng.standard_normal((4, 2, 3))
-        one = attribute_loss(Tensor(anchors + delta), Tensor(anchors)).item()
-        two = attribute_loss(Tensor(anchors + 2 * delta), Tensor(anchors)).item()
+        one = mse_to_anchor(Tensor(anchors + delta), Tensor(anchors)).item()
+        two = mse_to_anchor(Tensor(anchors + 2 * delta), Tensor(anchors)).item()
         npt.assert_allclose(two, 4.0 * one, rtol=1e-12)
 
     def test_hand_case(self):
-        loss = attribute_loss(Tensor(np.zeros((1, 1, 2))), Tensor([[3.0, 4.0]]))
+        loss = mse_to_anchor(Tensor(np.zeros((1, 1, 2))), Tensor([[3.0, 4.0]]))
         assert loss.item() == 25.0

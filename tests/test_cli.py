@@ -201,16 +201,6 @@ class TestEval:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_eval_parallel_matches_serial(self, trained, capsys):
-        corpus, run_dir = trained
-        base = ["eval", "--manifest", str(corpus / "manifest.json"),
-                "--checkpoint", str(run_dir / "best.ckpt")]
-        assert run_cli(base) == 0
-        serial = capsys.readouterr().out.splitlines()[-1]
-        assert run_cli(base + ["--jobs", "4"]) == 0
-        parallel = capsys.readouterr().out.splitlines()[-1]
-        assert serial == parallel
-
     def test_oracle_scores_give_map_one(self, trained, tmp_path, capsys):
         corpus, _ = trained
         from aan.data import read_manifest, load_split
@@ -310,3 +300,15 @@ class TestPredict:
                         "--features", str(bad), "--out", str(tmp_path / "s.aans")])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("cut", [8, 100])
+    def test_checkpoint_truncated_in_its_header_exits_2(self, trained, tmp_path, capsys, cut):
+        corpus, run_dir = trained
+        truncated = tmp_path / "t.ckpt"
+        truncated.write_bytes((run_dir / "best.ckpt").read_bytes()[:cut])
+        feature_file = next((corpus / "features").glob("*.aanf"))
+        code = run_cli(["predict", "--checkpoint", str(truncated),
+                        "--features", str(feature_file), "--out", str(tmp_path / "s.aans")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{truncated}: truncated header" in err

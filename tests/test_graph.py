@@ -296,8 +296,7 @@ class TestForward:
         npt.assert_array_equal(result.logits.data, again.logits.data)
 
     def test_linear_ablation_has_no_attributes(self):
-        state = tiny_state()
-        state.config.ablation = "linear"
+        state = tiny_state(ablation="linear")
         result = forward(np.zeros((3, 6)), None, state, "eval")
         assert result.attributes is None
         assert result.logits.shape == (3, 2)
