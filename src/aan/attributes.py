@@ -38,15 +38,13 @@ class AttributeExtractorParams:
 
 
 def init_extractor(n_attributes: int, dim: int, rng: np.random.Generator,
-                   bn_eps: float = 1e-5, bn_momentum: float = 0.1,
                    use_batch_norm: bool = True, dtype=np.float64) -> AttributeExtractorParams:
     bound = 1.0 / np.sqrt(dim)
     weight = Tensor(
         rng.uniform(-bound, bound, (n_attributes, dim, dim)).astype(dtype),
         requires_grad=True,
     )
-    bn = make_batch_norm_state(n_attributes * dim, eps=bn_eps, momentum=bn_momentum,
-                               dtype=dtype) if use_batch_norm else None
+    bn = make_batch_norm_state(n_attributes * dim, dtype=dtype) if use_batch_norm else None
     return AttributeExtractorParams(weight=weight, bn=bn)
 
 

@@ -696,20 +696,12 @@ def write_corpus(corpus: SyntheticCorpus, out_dir) -> Path:
 
 @dataclass
 class LoadedVideo:
-    """A fully materialized video: features, dense labels and mask."""
+    """A video, or a training crop of one: features, dense labels and mask."""
 
     video_id: str
     features: np.ndarray          # [T, D0] float
     labels: np.ndarray            # [T, C] 0/1
     mask: np.ndarray              # [T] bool
-
-
-@dataclass
-class Batch:
-    video_ids: list
-    features: np.ndarray          # [B, Tb, D0]
-    labels: np.ndarray            # [B, Tb, C]
-    masks: np.ndarray             # [B, Tb] bool
 
 
 def load_split(index: CorpusIndex, split: str, dtype=np.float64) -> list:
@@ -728,42 +720,25 @@ def load_split(index: CorpusIndex, split: str, dtype=np.float64) -> list:
 
 
 def make_batches(videos: list, batch_size: int, max_frames: int | None = None,
-                 train: bool = False, seed: int = 0, epoch: int = 0) -> list:
-    """Group videos into padded batches.
+                 seed: int = 0, epoch: int = 0) -> list:
+    """Shuffled, cropped training batches: lists of unpadded LoadedVideo views.
 
-    Train mode shuffles by (seed, epoch) and crops long videos to max_frames
-    at a seeded random start; eval mode keeps the given order and never
-    crops.  Every video appears exactly once.
+    The order is a permutation drawn from (seed, epoch); a video longer than
+    max_frames is cropped to max_frames frames at a start drawn from
+    (seed, epoch, video_id).  A crop slices its source's arrays and a video
+    that fits is passed as is, so nothing is copied.  Every video appears
+    exactly once.
     """
     if batch_size < 1:
         raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
-    order = list(range(len(videos)))
-    if train:
-        rng = np.random.default_rng([seed, epoch, 0x0BA7C4])
-        order = list(rng.permutation(len(videos)))
-
-    batches = []
-    for lo in range(0, len(order), batch_size):
-        chunk = [videos[i] for i in order[lo:lo + batch_size]]
-        views = []
-        for v in chunk:
-            t = v.features.shape[0]
-            if train and max_frames is not None and t > max_frames:
-                start = stable_index((seed, epoch, v.video_id, "crop"), t - max_frames + 1)
-                views.append((v, start, start + max_frames))
-            else:
-                views.append((v, 0, t))
-        tb = max(hi - lo_ for _, lo_, hi in views)
-        b = len(views)
-        feats = np.zeros((b, tb, chunk[0].features.shape[1]), dtype=chunk[0].features.dtype)
-        labels = np.zeros((b, tb, chunk[0].labels.shape[1]), dtype=chunk[0].labels.dtype)
-        masks = np.zeros((b, tb), dtype=bool)
-        ids = []
-        for i, (v, a, z) in enumerate(views):
-            n = z - a
-            feats[i, :n] = v.features[a:z]
-            labels[i, :n] = v.labels[a:z]
-            masks[i, :n] = v.mask[a:z]
-            ids.append(v.video_id)
-        batches.append(Batch(ids, feats, labels, masks))
-    return batches
+    rng = np.random.default_rng([seed, epoch, 0x0BA7C4])
+    views = []
+    for i in rng.permutation(len(videos)):
+        v = videos[i]
+        t = v.features.shape[0]
+        if max_frames is not None and t > max_frames:
+            a = stable_index((seed, epoch, v.video_id, "crop"), t - max_frames + 1)
+            v = LoadedVideo(v.video_id, v.features[a:a + max_frames],
+                            v.labels[a:a + max_frames], v.mask[a:a + max_frames])
+        views.append(v)
+    return [views[lo:lo + batch_size] for lo in range(0, len(views), batch_size)]

@@ -99,10 +99,7 @@ class ModelConfig:
     n_blocks: int = 5             # L
     n_heads: int = 4              # H
     kernel_size: int = 3
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
     use_batch_norm: bool = True
-    mix_bias: bool = True
     attribute_weight: float = 1.0
     normalize_anchors: bool = False
     ablation: str = "full"
@@ -160,8 +157,6 @@ class ModelState:
                 bias=self.params["extractor.bn.bias"],
                 running_mean=self.buffers["extractor.bn.running_mean"],
                 running_var=self.buffers["extractor.bn.running_var"],
-                eps=self.config.bn_eps,
-                momentum=self.config.bn_momentum,
             )
         return AttributeExtractorParams(weight=self.params["extractor.weight"], bn=bn)
 
@@ -179,9 +174,8 @@ class ModelState:
                 if not cfg.disable_attention:
                     names += [f"blocks.{i}.attn.w1", f"blocks.{i}.attn.w2", f"blocks.{i}.attn.w3"]
                 if not cfg.disable_temporal:
-                    names += [f"blocks.{i}.mix.w4", f"blocks.{i}.mix.kernel", f"blocks.{i}.mix.w5"]
-                    if cfg.mix_bias:
-                        names += [f"blocks.{i}.mix.b4", f"blocks.{i}.mix.b5"]
+                    names += [f"blocks.{i}.mix.w4", f"blocks.{i}.mix.kernel", f"blocks.{i}.mix.w5",
+                              f"blocks.{i}.mix.b4", f"blocks.{i}.mix.b5"]
         return names
 
     def active_params(self) -> dict:
@@ -215,7 +209,6 @@ def init_model_state(config: ModelConfig, prior: CoOccurrencePrior, seed: int,
 
     params: dict = {}
     extractor = init_extractor(config.n_attributes, config.input_dim, rng,
-                               bn_eps=config.bn_eps, bn_momentum=config.bn_momentum,
                                use_batch_norm=config.use_batch_norm, dtype=dt)
     params["extractor.weight"] = extractor.weight
     buffers: dict = {}
@@ -371,11 +364,11 @@ def forward(features: np.ndarray, anchors_selected: np.ndarray | None,
                 heads = graph_conv(heads, adjacency, state.params[f"blocks.{i}.attn.w3"])
                 x = merge_heads(heads)
             if not cfg.disable_temporal:
-                b4 = state.params[f"blocks.{i}.mix.b4"] if cfg.mix_bias else None
-                b5 = state.params[f"blocks.{i}.mix.b5"] if cfg.mix_bias else None
-                x = temporal_mix(x, state.params[f"blocks.{i}.mix.w4"], b4,
+                x = temporal_mix(x, state.params[f"blocks.{i}.mix.w4"],
+                                 state.params[f"blocks.{i}.mix.b4"],
                                  state.params[f"blocks.{i}.mix.kernel"],
-                                 state.params[f"blocks.{i}.mix.w5"], b5, mask=mask)
+                                 state.params[f"blocks.{i}.mix.w5"],
+                                 state.params[f"blocks.{i}.mix.b5"], mask=mask)
 
     logits = classify(x, state.params["classifier.weight"], state.params["classifier.bias"])
     return ForwardResult(logits=logits, attributes=extracted)
@@ -407,7 +400,16 @@ def total_loss(result: ForwardResult, dense_labels: np.ndarray,
     return LossBreakdown(total=total, action=action.item(), attribute=attr.item())
 
 
+# Fields that earlier versions wrote into every config but nothing ever set
+# away from these values; a stored config may carry them at these values only.
+_RETIRED_FIELDS = {"mix_bias": True, "bn_eps": 1e-5, "bn_momentum": 0.1}
+
+
 def config_from_dict(doc: dict) -> ModelConfig:
+    doc = dict(doc)
+    for name, value in _RETIRED_FIELDS.items():
+        if name in doc and doc.pop(name) != value:
+            raise ConfigurationError(f"{name} is no longer configurable; only {value!r} is accepted")
     cfg = ModelConfig(**doc)
     cfg.validate()
     return cfg

@@ -142,9 +142,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self, grad=None) -> None:
         """Backpropagate from this node; defaults to d(self)/d(self)=1 on scalars.
 
@@ -414,37 +411,23 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str,
 
     gain, bias = state.gain, state.bias
     if mode == "eval":
-        inv = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = (x.data - state.running_mean) * inv
-        out = _result(gain.data * xhat + bias.data, (x, gain, bias))
-        if out._parents:
-            def backward(g):
-                if gain.requires_grad:
-                    _accumulate(gain, (g * xhat).sum(axis=0))
-                if bias.requires_grad:
-                    _accumulate(bias, g.sum(axis=0))
-                if x.requires_grad:
-                    _accumulate(x, g * gain.data * inv)
-            out._backward = backward
-        return out
-
-    valid = np.ones(x.shape[0], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    m = int(valid.sum())
-    if m < 2:
-        raise DegenerateBatchError(f"batch_norm train mode needs >= 2 valid rows, got {m}")
-
-    rows = x.data[valid]
-    mu = rows.mean(axis=0)
-    var = rows.var(axis=0)  # biased, used for normalization
+        mu, var = state.running_mean, state.running_var
+    else:
+        valid = np.ones(x.shape[0], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+        m = int(valid.sum())
+        if m < 2:
+            raise DegenerateBatchError(f"batch_norm train mode needs >= 2 valid rows, got {m}")
+        rows = x.data[valid]
+        mu = rows.mean(axis=0)
+        var = rows.var(axis=0)  # biased, used for normalization
+        # running stats updated in place so shared buffers see the change
+        mom = state.momentum
+        state.running_mean *= 1.0 - mom
+        state.running_mean += mom * mu
+        state.running_var *= 1.0 - mom
+        state.running_var += mom * var * (m / (m - 1.0))
     inv = 1.0 / np.sqrt(var + state.eps)
     xhat = (x.data - mu) * inv
-
-    # running stats updated in place so shared buffers see the change
-    mom = state.momentum
-    state.running_mean *= 1.0 - mom
-    state.running_mean += mom * mu
-    state.running_var *= 1.0 - mom
-    state.running_var += mom * var * (m / (m - 1.0))
 
     out = _result(gain.data * xhat + bias.data, (x, gain, bias))
     if out._parents:
@@ -455,12 +438,13 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str,
                 _accumulate(bias, g.sum(axis=0))
             if x.requires_grad:
                 d = g * gain.data
-                # valid rows feel the coupling through mu/var; others only the
-                # direct path (they never entered the statistics)
-                s1 = d.sum(axis=0)
-                s2 = (d * xhat).sum(axis=0)
                 gx = d * inv
-                gx[valid] -= inv * (s1 + xhat[valid] * s2) / m
+                if mode == "train":
+                    # valid rows feel the coupling through mu/var; others only
+                    # the direct path (they never entered the statistics)
+                    s1 = d.sum(axis=0)
+                    s2 = (d * xhat).sum(axis=0)
+                    gx[valid] -= inv * (s1 + xhat[valid] * s2) / m
                 _accumulate(x, gx)
         out._backward = backward
     return out

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as tn
 from .attributes import select_anchor_prompt
-from .data import CorpusIndex, load_split, make_batches
+from .data import CorpusIndex, LoadedVideo, load_split, make_batches
 from .graph import (
     CoOccurrencePrior,
     ModelConfig,
@@ -223,19 +223,18 @@ def load_corpus(index: CorpusIndex, dtype=np.float64) -> LoadedCorpus:
 
 
 def _video_loss(result, state: ModelState, anchors, config: TrainConfig, mode: str,
-                epoch: int, video_id: str, labels, mask):
-    selected = select_anchor_prompt(anchors, mode, config.seed, epoch, video_id) \
+                epoch: int, video: LoadedVideo):
+    selected = select_anchor_prompt(anchors, mode, config.seed, epoch, video.video_id) \
         if state.config.ablation != "linear" else None
-    return total_loss(result, labels, selected, mask,
+    return total_loss(result, video.labels, selected, video.mask,
                       attribute_weight=state.config.attribute_weight,
                       normalize_anchors=state.config.normalize_anchors)
 
 
 def run_epoch(state: ModelState, corpus: LoadedCorpus, config: TrainConfig,
               mode: str) -> EpochReport:
-    """One pass over a split: optimize on padded train batches; on val, run
-    each video once, unpadded, through predict's forward for its losses and
-    its scores."""
+    """One pass over a split: optimize on shuffled, cropped train batches; on
+    val, score each whole video.  Both forward each video alone, unpadded."""
     if mode not in ("train", "val"):
         raise ValueError(f"unknown epoch mode {mode!r}")
     videos = corpus.train if mode == "train" else corpus.val
@@ -248,19 +247,20 @@ def run_epoch(state: ModelState, corpus: LoadedCorpus, config: TrainConfig,
     if mode == "train":
         active = state.active_params()
         for batch in make_batches(videos, config.batch_size, max_frames=config.max_frames,
-                                  train=True, seed=config.seed, epoch=epoch):
+                                  seed=config.seed, epoch=epoch):
             breakdowns = []
-            for i, video_id in enumerate(batch.video_ids):
-                result = forward(batch.features[i], None, state, "train", mask=batch.masks[i])
+            for v in batch:
+                result = forward(v.features, None, state, "train", mask=v.mask)
                 breakdowns.append(_video_loss(result, state, corpus.anchors, config, "train",
-                                              epoch, video_id, batch.labels[i], batch.masks[i]))
+                                              epoch, v))
             batch_loss = breakdowns[0].total
             for b in breakdowns[1:]:
                 batch_loss = batch_loss + b.total
             batch_loss = batch_loss * (1.0 / len(breakdowns))
             if not np.isfinite(batch_loss.data):
                 raise NonFiniteLossError(
-                    f"non-finite loss {batch_loss.data} in epoch {epoch} on videos {batch.video_ids}"
+                    f"non-finite loss {batch_loss.data} in epoch {epoch} on videos "
+                    f"{[v.video_id for v in batch]}"
                 )
             zero_grads(active)
             batch_loss.backward()
@@ -273,8 +273,7 @@ def run_epoch(state: ModelState, corpus: LoadedCorpus, config: TrainConfig,
         with tn.no_grad():
             for v in videos:
                 result = forward(v.features, None, state, "eval", mask=v.mask)
-                b = _video_loss(result, state, corpus.anchors, config, "eval", epoch,
-                                v.video_id, v.labels, v.mask)
+                b = _video_loss(result, state, corpus.anchors, config, "eval", epoch, v)
                 losses.append((b.total.item(), b.action, b.attribute))
                 scored.append(VideoEval(v.video_id, result.logits.sigmoid().data,
                                         v.labels, v.mask))
@@ -375,33 +374,46 @@ def load_checkpoint(path) -> ModelState:
         blob = fh.read(blob_len)
         if len(blob) < blob_len:
             raise CheckpointError(f"{path}: truncated header")
-        header = json.loads(blob.decode("utf-8"))
         payload = fh.read()
 
-    config = config_from_dict(header["model_config"])
+    try:
+        header = json.loads(blob.decode("utf-8"))
+        if not isinstance(header, dict):
+            raise TypeError(f"expected a JSON object, got {type(header).__name__}")
+        config = config_from_dict(header["model_config"])
+        tensors = [(meta["name"], meta["kind"], tuple(meta["shape"]), np.dtype(meta["dtype"]))
+                   for meta in header["tensors"]]
+        adam_doc = {key: header["adam"][key] for key in
+                    ("learning_rate", "beta1", "beta2", "epsilon", "step_count")}
+        scheduler = SchedulerState(best_value=header["scheduler"]["best_value"],
+                                   num_bad_epochs=header["scheduler"]["num_bad_epochs"])
+        epoch = header["epoch"]
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: malformed header: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed header: {exc}") from None
+
     arrays, offset = {}, 0
-    for meta in header["tensors"]:
-        shape = tuple(meta["shape"])
-        dtype = np.dtype(meta["dtype"])
+    for name, kind, shape, dtype in tensors:
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
         raw = payload[offset:offset + nbytes]
         if len(raw) != nbytes:
-            raise CheckpointError(f"{path}: truncated payload at tensor {meta['name']!r}")
-        arrays[(meta["kind"], meta["name"])] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            raise CheckpointError(f"{path}: truncated payload at tensor {name!r}")
+        arrays[(kind, name)] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
         offset += nbytes
     if offset != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - offset} trailing bytes")
+    prior_names = ("probabilities", "counts", "totals")
+    missing = [f"prior.{n}" for n in prior_names if ("prior", f"prior.{n}") not in arrays]
+    if missing:
+        raise CheckpointError(f"{path}: incompatible tensors: missing {missing}")
 
     # rebuild a skeleton with the right shapes, then validate and fill
     skeleton = init_model_state(
         config,
-        CoOccurrencePrior(
-            probabilities=arrays[("prior", "prior.probabilities")],
-            counts=arrays[("prior", "prior.counts")],
-            totals=arrays[("prior", "prior.totals")],
-        ),
+        CoOccurrencePrior(*(arrays[("prior", f"prior.{n}")] for n in prior_names)),
         seed=0,
-        learning_rate=header["adam"]["learning_rate"],
+        learning_rate=adam_doc["learning_rate"],
     )
     mismatches = []
     for name, p in skeleton.params.items():
@@ -421,10 +433,10 @@ def load_checkpoint(path) -> ModelState:
         raise CheckpointError(f"{path}: incompatible tensors: " + "; ".join(mismatches))
 
     adam = skeleton.adam
-    adam.beta1 = header["adam"]["beta1"]
-    adam.beta2 = header["adam"]["beta2"]
-    adam.epsilon = header["adam"]["epsilon"]
-    adam.step_count = header["adam"]["step_count"]
+    adam.beta1 = adam_doc["beta1"]
+    adam.beta2 = adam_doc["beta2"]
+    adam.epsilon = adam_doc["epsilon"]
+    adam.step_count = adam_doc["step_count"]
     for name in list(adam.first_moment):
         m = arrays.get(("adam.m", name))
         v = arrays.get(("adam.v", name))
@@ -432,11 +444,8 @@ def load_checkpoint(path) -> ModelState:
             adam.first_moment[name] = m
         if v is not None:
             adam.second_moment[name] = v
-    skeleton.scheduler = SchedulerState(
-        best_value=header["scheduler"]["best_value"],
-        num_bad_epochs=header["scheduler"]["num_bad_epochs"],
-    )
-    skeleton.epoch = header["epoch"]
+    skeleton.scheduler = scheduler
+    skeleton.epoch = epoch
     return skeleton
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -312,3 +313,16 @@ class TestPredict:
         err = capsys.readouterr().err
         assert code == 2
         assert f"{truncated}: truncated header" in err
+
+    @pytest.mark.parametrize("blob", [b'{"epoch": 0}', b"[1,2]", b"\xff" * 40, b"hello"],
+                             ids=["missing-model-config", "json-list", "not-utf8", "not-json"])
+    def test_malformed_header_exits_2_naming_the_file(self, trained, tmp_path, capsys, blob):
+        corpus, _ = trained
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"AANC" + struct.pack("<HQ", 1, len(blob)) + blob)
+        feature_file = next((corpus / "features").glob("*.aanf"))
+        code = run_cli(["predict", "--checkpoint", str(bad),
+                        "--features", str(feature_file), "--out", str(tmp_path / "s.aans")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{bad}: malformed header" in err

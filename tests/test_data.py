@@ -254,41 +254,41 @@ class TestBatching:
             ))
         return out
 
-    def test_padding_to_longest_with_masks(self):
-        batches = make_batches(self._videos([3, 5]), batch_size=2)
-        assert len(batches) == 1
-        b = batches[0]
-        assert b.features.shape[1] == 5
-        assert b.masks[0].sum() == 3 and b.masks[1].sum() == 5
-        npt.assert_array_equal(b.features[0, 3:], 0.0)
-
-    def test_eval_order_is_deterministic(self):
-        videos = self._videos([4, 4, 4])
-        a = make_batches(videos, 2)
-        b = make_batches(videos, 2)
-        assert [x.video_ids for x in a] == [x.video_ids for x in b]
-        assert a[0].video_ids == ["v0", "v1"]
+    def test_views_are_unpadded_crops_sharing_memory(self):
+        videos = self._videos([3, 12, 8, 20, 5])
+        batches = make_batches(videos, 2, max_frames=8, seed=2, epoch=1)
+        views = [v for b in batches for v in b]
+        assert [len(b) for b in batches] == [2, 2, 1]
+        assert sorted(v.video_id for v in views) == [v.video_id for v in videos]
+        source = {v.video_id: v for v in videos}
+        for v in views:
+            src = source[v.video_id]
+            n = min(src.features.shape[0], 8)
+            assert v.features.shape[0] == v.labels.shape[0] == v.mask.shape[0] == n
+            for view_array, src_array in ((v.features, src.features), (v.labels, src.labels),
+                                          (v.mask, src.mask)):
+                assert np.shares_memory(view_array, src_array)
 
     def test_epoch_conserves_frames(self):
         videos = self._videos([3, 7, 5, 2])
-        batches = make_batches(videos, 3, train=True, seed=1, epoch=4)
-        total = sum(b.masks.sum() for b in batches)
+        batches = make_batches(videos, 3, seed=1, epoch=4)
+        total = sum(v.mask.sum() for b in batches for v in b)
         assert total == 3 + 7 + 5 + 2
-        seen = sorted(vid for b in batches for vid in b.video_ids)
+        seen = sorted(v.video_id for b in batches for v in b)
         assert seen == ["v0", "v1", "v2", "v3"]
 
     def test_train_crop_is_seeded(self):
         videos = self._videos([20])
-        a = make_batches(videos, 1, max_frames=8, train=True, seed=3, epoch=2)
-        b = make_batches(videos, 1, max_frames=8, train=True, seed=3, epoch=2)
-        npt.assert_array_equal(a[0].features, b[0].features)
-        assert a[0].features.shape[1] == 8
+        a = make_batches(videos, 1, max_frames=8, seed=3, epoch=2)
+        b = make_batches(videos, 1, max_frames=8, seed=3, epoch=2)
+        npt.assert_array_equal(a[0][0].features, b[0][0].features)
+        assert a[0][0].features.shape[0] == 8
 
     def test_shuffle_changes_with_epoch(self):
         videos = self._videos([4] * 16)
-        a = make_batches(videos, 4, train=True, seed=0, epoch=0)
-        b = make_batches(videos, 4, train=True, seed=0, epoch=1)
-        assert [x.video_ids for x in a] != [x.video_ids for x in b]
+        a = make_batches(videos, 4, seed=0, epoch=0)
+        b = make_batches(videos, 4, seed=0, epoch=1)
+        assert [[v.video_id for v in x] for x in a] != [[v.video_id for v in x] for x in b]
 
 
 class TestLoadSplit:

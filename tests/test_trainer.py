@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
@@ -7,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from aan import tensor as tn
-from aan.data import SynthSpec, generate_synthetic_corpus, make_batches, write_corpus, read_manifest
+from aan.data import SynthSpec, generate_synthetic_corpus, write_corpus, read_manifest
 from aan import trainer as trainer_module
 from aan.graph import clone_state, forward, init_model_state, prior_from_dense, total_loss
 from aan.trainer import (
@@ -59,6 +60,20 @@ def checkpoint_tensor_names(path) -> dict:
     for meta in json.loads(raw[14:14 + blob_len])["tensors"]:
         names.setdefault(meta["kind"], set()).add(meta["name"])
     return names
+
+
+def rewrite_header(path, edit) -> None:
+    """Apply edit(header) to a checkpoint's JSON header, keeping its payload."""
+    raw = path.read_bytes()
+    (blob_len,) = struct.unpack("<Q", raw[6:14])
+    header = json.loads(raw[14:14 + blob_len])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(raw[:6] + struct.pack("<Q", len(blob)) + blob + raw[14 + blob_len:])
+
+
+MALFORMED_HEADERS = {"missing-model-config": b'{"epoch": 0}', "json-list": b"[1,2]",
+                     "not-utf8": b"\xff" * 40, "not-json": b"hello"}
 
 
 WIRINGS = {"full": {}, "extractor-only": {"ablation": "extractor-only"},
@@ -146,8 +161,13 @@ class TestRunEpoch:
             return real_forward(features, *args, **kwargs)
 
         monkeypatch.setattr(trainer_module, "forward", counting_forward)
-        result = train(corpus, desk_config(max_epochs=1))
+        max_frames = 16
+        assert max(v.features.shape[0] for v in corpus.train) > max_frames
+        result = train(corpus, desk_config(max_epochs=1, max_frames=max_frames))
         assert len(calls) == len(corpus.train) + len(corpus.val)
+        # train runs each crop unpadded
+        assert sorted(t for mode, t in calls if mode == "train") == \
+            sorted(min(v.features.shape[0], max_frames) for v in corpus.train)
         # val runs unpadded, in split order, and its report carries the val mAP
         assert [t for mode, t in calls if mode == "eval"] == \
             [v.features.shape[0] for v in corpus.val]
@@ -224,17 +244,17 @@ class TestPaddingInvariance:
             state = result.state
 
             videos = corpus.val or corpus.train
-            batches = make_batches(videos, batch_size=len(videos))
-            assert len(batches) == 1
-            batch = batches[0]
+            tb = max(v.features.shape[0] for v in videos)
             padded_losses, padded_logits = [], []
             with tn.no_grad():
-                for i in range(len(batch.video_ids)):
-                    out = forward(batch.features[i], None, state, "eval",
-                                  mask=batch.masks[i])
-                    padded_losses.append(
-                        total_loss(out, batch.labels[i], None, batch.masks[i]).total.item())
-                    padded_logits.append(out.logits.data[batch.masks[i]])
+                for v in videos:
+                    pad = tb - v.features.shape[0]
+                    mask = np.pad(v.mask, (0, pad))
+                    out = forward(np.pad(v.features, ((0, pad), (0, 0))), None, state, "eval",
+                                  mask=mask)
+                    labels = np.pad(v.labels, ((0, pad), (0, 0)))
+                    padded_losses.append(total_loss(out, labels, None, mask).total.item())
+                    padded_logits.append(out.logits.data[mask])
                 solo_losses = []
                 for j, v in enumerate(videos):
                     out = forward(v.features, None, state, "eval", mask=v.mask)
@@ -279,6 +299,60 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(CheckpointError, match=f"{path}: truncated header"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("blob", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS)
+    def test_malformed_header_rejected(self, tmp_path, blob):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"AANC" + struct.pack("<HQ", 1, len(blob)) + blob)
+        with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: malformed header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["model_config"].update(no_such_key=1),
+        lambda h: h["model_config"].update(mix_bias=False, bn_eps=1e-05, bn_momentum=0.1),
+        lambda h: h["model_config"].update(bn_eps=1e-3),
+        lambda h: h["model_config"].update(hidden_dim=15),
+        lambda h: h["model_config"].pop("n_classes"),
+        lambda h: h["tensors"][0].pop("name"),
+        lambda h: h["tensors"][0].pop("kind"),
+        lambda h: h["tensors"][0].pop("shape"),
+        lambda h: h["tensors"][0].pop("dtype"),
+        lambda h: h["adam"].pop("beta1"),
+        lambda h: h.pop("scheduler"),
+    ], ids=["unknown-config-key", "mix-bias-false", "bn-eps-changed", "config-invalid",
+            "config-key-missing", "tensor-without-name", "tensor-without-kind",
+            "tensor-without-shape", "tensor-without-dtype", "adam-key-missing",
+            "scheduler-missing"])
+    def test_malformed_header_fields_rejected(self, tmp_path, edit):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(fresh_state(memory_corpus(), desk_config()), path)
+        rewrite_header(path, edit)
+        with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: malformed header"):
+            load_checkpoint(path)
+
+    def test_checkpoint_without_prior_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(fresh_state(memory_corpus(), desk_config()), path)
+        rewrite_header(path, lambda h: next(
+            m for m in h["tensors"] if m["name"] == "prior.totals").update(kind="buffer"))
+        with pytest.raises(CheckpointError, match=r"missing \['prior.totals'\]"):
+            load_checkpoint(path)
+
+    def test_checkpoint_with_retired_config_fields_loads(self, tmp_path):
+        # earlier versions wrote mix_bias, bn_eps and bn_momentum into every config
+        corpus = memory_corpus()
+        state = train(corpus, desk_config(max_epochs=1)).state
+        path = tmp_path / "legacy.ckpt"
+        save_checkpoint(state, path)
+        rewrite_header(path, lambda h: h["model_config"].update(
+            mix_bias=True, bn_eps=1e-05, bn_momentum=0.1))
+        loaded = load_checkpoint(path)
+        assert state_hash(loaded) == state_hash(state)
+        for video in corpus.val:
+            with tn.no_grad():
+                a = forward(video.features, None, state, "eval", mask=video.mask).logits.data
+                b = forward(video.features, None, loaded, "eval", mask=video.mask).logits.data
+            npt.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("ablation", ["full", "extractor-only"])
     def test_checkpoint_with_unused_wiring_tensors_loads(self, tmp_path, ablation):
