@@ -9,6 +9,17 @@ The action-conditional metrics restrict evaluation of class i to frames
 lying within tau frames of some ground-truth occurrence of class j, for
 every ordered pair (i, j) including i == j; pairs whose restricted frame
 set contains no positive of class i are skipped and counted.
+
+They are computed in C vectorised steps over the valid frames of the whole
+run, stacked once in video-then-frame order (F frames, C classes).  One
+clipped cumulative-sum window per video marks, for every class j at once,
+the frames within tau of j; stacked, these form W [F, C].  Step j takes the
+n_j frames W[:, j] selects, counts every class's positives among them in one
+call, and scores the k classes i that have any as the rows of one [k, n_j]
+matrix: tp, predicted and positive counts are row sums, and AP comes from one
+row-wise stable argsort and a cumulative sum of hits over ranks.  Python
+work grows with C; arithmetic with C * sum_j n_j, plus k * n_j log n_j for
+the sorts.
 """
 
 from __future__ import annotations
@@ -45,11 +56,17 @@ class VideoEval:
             raise ValueError(f"{self.video_id}: non-finite scores")
         if self.scores.min(initial=0.0) < 0.0 or self.scores.max(initial=0.0) > 1.0:
             raise ValueError(f"{self.video_id}: scores outside [0, 1]")
+        if not ((self.labels == 0.0) | (self.labels == 1.0)).all():
+            raise ValueError(f"{self.video_id}: labels must be 0 or 1")
 
 
 @dataclass
 class EvalRun:
     videos: list
+
+    def __post_init__(self):
+        if not self.videos:
+            raise ValueError("evaluation run has no videos")
 
     @property
     def class_count(self) -> int:
@@ -128,14 +145,19 @@ def per_frame_map(run: EvalRun) -> PerFrameMap:
 
 
 def conditioning_window(active: np.ndarray, tau: int) -> np.ndarray:
-    """Frames within tau of an active frame (tau=0: the active frames)."""
+    """Frames within tau of an active frame (tau=0: the active frames).
+
+    `active` is [T] or [T, C]; each column is dilated along axis 0.
+    """
     active = np.asarray(active, dtype=bool)
     if tau == 0:
         return active.copy()
     # counts[t] = active frames before t; frame t sees [t - tau, t + tau] clipped to the video
-    counts = np.concatenate(([0], np.cumsum(active)))
-    t = np.arange(active.size)
-    return counts[np.minimum(t + tau + 1, active.size)] > counts[np.maximum(t - tau, 0)]
+    t_count = active.shape[0]
+    counts = np.zeros((t_count + 1,) + active.shape[1:], dtype=np.int64)
+    np.cumsum(active, axis=0, out=counts[1:])
+    t = np.arange(t_count)
+    return counts[np.minimum(t + tau + 1, t_count)] > counts[np.maximum(t - tau, 0)]
 
 
 @dataclass
@@ -177,47 +199,52 @@ def action_conditional_metrics(run: EvalRun, tau: int,
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     c_count = run.class_count
 
-    # per (video, j): frames selected by j's window, restricted to valid ones
-    windows = []
-    for v in run.videos:
-        active = (v.labels > 0.5) & v.mask[:, None]
-        windows.append(
-            np.stack([conditioning_window(active[:, j], tau) & v.mask
-                      for j in range(c_count)], axis=1)
-        )
+    # valid frames of every video, stacked once; windows[j, f]: frame f is
+    # within tau of a valid frame of the same video where class j is active
+    active = [(v.labels > 0.5) & v.mask[:, None] for v in run.videos]
+    scores = np.concatenate([v.scores[v.mask] for v in run.videos], axis=0)
+    labels = np.concatenate([a[v.mask] for a, v in zip(active, run.videos)], axis=0)
+    windows = np.concatenate([conditioning_window(a, tau)[v.mask]
+                              for a, v in zip(active, run.videos)], axis=0).T.copy()
 
     precisions, recalls, f1s, aps = [], [], [], []
     skipped = 0
     for j in range(c_count):
-        selected_scores = np.concatenate(
-            [v.scores[w[:, j]] for v, w in zip(run.videos, windows)], axis=0)
-        selected_labels = np.concatenate(
-            [v.labels[w[:, j]] for v, w in zip(run.videos, windows)], axis=0)
-        for i in range(c_count):
-            y = selected_labels[:, i]
-            if y.sum() == 0:
-                skipped += 1
-                continue
-            s = selected_scores[:, i]
-            predicted = s >= threshold
-            tp = float((predicted & (y > 0.5)).sum())
-            fp = float((predicted & (y <= 0.5)).sum())
-            fn = float(((~predicted) & (y > 0.5)).sum())
-            precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-            recall = tp / (tp + fn)
-            f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-            precisions.append(precision)
-            recalls.append(recall)
-            f1s.append(f1)
-            aps.append(average_precision(s, y))
+        # frames selected by j, in video-then-frame order, so ties rank as in a
+        # single-pair average_precision over the same frames
+        rows = np.flatnonzero(windows[j])
+        positives = np.count_nonzero(labels[rows], axis=0)
+        keep = np.flatnonzero(positives)
+        skipped += c_count - keep.size
+        if keep.size == 0:
+            continue
+        positives = positives[keep].astype(np.float64)
+        s = np.ascontiguousarray(scores[np.ix_(rows, keep)].T)     # [k, n_j]
+        y = np.ascontiguousarray(labels[np.ix_(rows, keep)].T)
+        predicted = s >= threshold
+        tp = np.count_nonzero(predicted & y, axis=1).astype(np.float64)
+        called = np.count_nonzero(predicted, axis=1).astype(np.float64)
+        precision = np.divide(tp, called, out=np.zeros_like(tp), where=called > 0)
+        recall = tp / positives
+        both = precision + recall
+        f1 = np.divide(2 * precision * recall, both, out=np.zeros_like(tp), where=both > 0)
+        # AP: mean precision at each positive's rank, ranked by a stable sort
+        ranked = np.take_along_axis(y, np.argsort(-s, axis=1, kind="stable"), axis=1)
+        at_rank = np.cumsum(ranked, axis=1, dtype=np.float64)     # hits, then precision
+        at_rank /= np.arange(1, rows.size + 1)
+        at_rank *= ranked
+        precisions.append(precision)
+        recalls.append(recall)
+        f1s.append(f1)
+        aps.append(at_rank.sum(axis=1) / positives)
 
     def agg(values):
-        return float(np.mean(values)) if values else None
+        return float(np.mean(np.concatenate(values))) if values else None
 
     return ConditionalMetrics(
         tau=tau, threshold=threshold,
         precision=agg(precisions), recall=agg(recalls), f1=agg(f1s), mean_ap=agg(aps),
-        pairs_evaluated=len(aps), pairs_skipped=skipped,
+        pairs_evaluated=c_count * c_count - skipped, pairs_skipped=skipped,
     )
 
 

@@ -359,6 +359,23 @@ def save_checkpoint(state: ModelState, path) -> None:
             fh.write(np.ascontiguousarray(arr).tobytes())
 
 
+def _header_number(value, what: str, integer: bool = False):
+    """A header value that must be an int (or, unless integer, a float)."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise TypeError(f"{what} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return value
+
+
+def _tensor_meta(meta) -> tuple:
+    """(name, kind, shape, dtype) of one tensor entry, as save_checkpoint writes it."""
+    shape, dtype = meta["shape"], meta["dtype"]
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise TypeError(f"tensor shape must be a list of non-negative integers, got {shape!r}")
+    if not isinstance(dtype, str) or np.dtype(dtype).kind not in "fi":
+        raise TypeError(f"tensor dtype must name a float or integer type, got {dtype!r}")
+    return meta["name"], meta["kind"], tuple(shape), np.dtype(dtype)
+
+
 def load_checkpoint(path) -> ModelState:
     path = Path(path)
     with open(path, "rb") as fh:
@@ -381,13 +398,15 @@ def load_checkpoint(path) -> ModelState:
         if not isinstance(header, dict):
             raise TypeError(f"expected a JSON object, got {type(header).__name__}")
         config = config_from_dict(header["model_config"])
-        tensors = [(meta["name"], meta["kind"], tuple(meta["shape"]), np.dtype(meta["dtype"]))
-                   for meta in header["tensors"]]
-        adam_doc = {key: header["adam"][key] for key in
-                    ("learning_rate", "beta1", "beta2", "epsilon", "step_count")}
-        scheduler = SchedulerState(best_value=header["scheduler"]["best_value"],
-                                   num_bad_epochs=header["scheduler"]["num_bad_epochs"])
-        epoch = header["epoch"]
+        tensors = [_tensor_meta(meta) for meta in header["tensors"]]
+        adam_doc = {key: _header_number(header["adam"][key], f"adam.{key}",
+                                        integer=key == "step_count")
+                    for key in ("learning_rate", "beta1", "beta2", "epsilon", "step_count")}
+        scheduler = SchedulerState(
+            best_value=_header_number(header["scheduler"]["best_value"], "scheduler.best_value"),
+            num_bad_epochs=_header_number(header["scheduler"]["num_bad_epochs"],
+                                          "scheduler.num_bad_epochs", integer=True))
+        epoch = _header_number(header["epoch"], "epoch", integer=True)
     except KeyError as exc:
         raise CheckpointError(f"{path}: malformed header: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

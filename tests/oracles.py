@@ -86,6 +86,7 @@ def enumerate_conditional(run, tau, threshold):
         "recall": np.mean(recalls) if recalls else None,
         "f1": np.mean(f1s) if f1s else None,
         "mean_ap": np.mean(aps) if aps else None,
+        "evaluated": len(aps),
         "skipped": skipped,
     }
 

@@ -1,14 +1,19 @@
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import aan
 from aan.cli import main
-from aan.data import read_score_file, write_feature_file
+from aan.data import read_manifest, read_score_file, write_feature_file
+from test_trainer import rewrite_header
 
 
 def run_cli(args):
@@ -204,7 +209,7 @@ class TestEval:
 
     def test_oracle_scores_give_map_one(self, trained, tmp_path, capsys):
         corpus, _ = trained
-        from aan.data import read_manifest, load_split
+        from aan.data import load_split
         from aan.data import write_score_file
         index = read_manifest(corpus / "manifest.json")
         scores_dir = tmp_path / "scores"
@@ -274,7 +279,6 @@ class TestPredict:
 
     def test_predict_then_eval_matches_checkpoint_eval(self, trained, tmp_path, capsys):
         corpus, run_dir = trained
-        from aan.data import read_manifest
         index = read_manifest(corpus / "manifest.json")
         scores_dir = tmp_path / "pred"
         scores_dir.mkdir()
@@ -326,3 +330,41 @@ class TestPredict:
         err = capsys.readouterr().err
         assert code == 2
         assert f"{bad}: malformed header" in err
+
+    def test_malformed_header_value_exits_2_naming_the_file(self, trained, tmp_path, capsys):
+        corpus, run_dir = trained
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes((run_dir / "best.ckpt").read_bytes())
+        rewrite_header(bad, lambda h: h["tensors"][0].update(dtype="object"))
+        feature_file = next((corpus / "features").glob("*.aanf"))
+        code = run_cli(["predict", "--checkpoint", str(bad),
+                        "--features", str(feature_file), "--out", str(tmp_path / "s.aans")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{bad}: malformed header" in err
+
+
+class TestReadme:
+    def test_step_6_scores_every_val_video_and_evaluates_them(self, trained, tmp_path):
+        """Runs README step 6 as written, with `aan` on PATH, on the trained corpus."""
+        corpus, run_dir = trained
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        step = readme[readme.index("# 6. "):]
+        step = step[:step.index("```")]
+        shim = tmp_path / "bin" / "aan"
+        shim.parent.mkdir()
+        shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m aan.cli "$@"\n')
+        shim.chmod(0o755)
+        (tmp_path / "corpus").symlink_to(corpus)
+        (tmp_path / "run").symlink_to(run_dir)
+        src = str(Path(aan.__file__).resolve().parents[1])
+        env = dict(os.environ, PATH=f"{shim.parent}{os.pathsep}{os.environ['PATH']}",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(["bash", "-e", "-c", step], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        val_ids = [entry.video_id for entry in read_manifest(corpus / "manifest.json").split("val")]
+        assert sorted(p.name for p in (tmp_path / "scores_dir").iterdir()) == \
+            sorted(f"{vid}.aans" for vid in val_ids)
+        report = json.loads(done.stdout.splitlines()[-1])["report"]
+        assert report["per_frame"]["mean_ap"] is not None

@@ -127,6 +127,16 @@ class TestConditioningWindow:
         npt.assert_array_equal(conditioning_window(np.zeros(12, bool), tau),
                                np.zeros(12, bool))
 
+    @pytest.mark.parametrize("tau", [0, 1, 3, 20])
+    def test_matrix_window_equals_column_windows(self, tau):
+        rng = np.random.default_rng([11, tau])
+        for t in (1, 5, 12, 50):          # all but 50 are shorter than 2 * 20 + 1
+            active = rng.random((t, 4)) < 0.15
+            got = conditioning_window(active, tau)
+            assert got.shape == active.shape
+            for j in range(4):
+                npt.assert_array_equal(got[:, j], conditioning_window(active[:, j], tau))
+
     def test_windows_are_monotone_in_tau(self):
         rng = np.random.default_rng(4)
         active = rng.random(30) < 0.2
@@ -209,6 +219,29 @@ class TestActionConditional:
                 else:
                     npt.assert_allclose(getattr(got, key), expected[key], atol=1e-9)
 
+    @pytest.mark.parametrize("tau", [0, 1, 3, 20])
+    def test_stacked_pass_matches_enumeration_at_the_edges(self, tau):
+        # scores on a 0.1 grid tie across video boundaries; partial masks;
+        # three of four videos are shorter than 2 * 20 + 1; class 3 is never
+        # active and class 4 is active on every frame
+        rng = np.random.default_rng([12, tau])
+        lengths = (3, 9, 17, 45)
+        scores = [np.round(rng.random((t, 5)), 1) for t in lengths]
+        labels = [(rng.random((t, 5)) < 0.25).astype(float) for t in lengths]
+        for y in labels:
+            y[:, 3] = 0.0
+            y[:, 4] = 1.0
+        masks = [rng.random(t) < 0.8 for t in lengths]
+        for m in masks:
+            m[0] = True
+        run = run_from(scores, labels, masks)
+        got = action_conditional_metrics(run, tau, 0.5)
+        expected = enumerate_conditional(run, tau, 0.5)
+        assert got.pairs_evaluated == expected["evaluated"]
+        assert got.pairs_skipped == expected["skipped"]
+        for key in ("precision", "recall", "f1", "mean_ap"):
+            npt.assert_allclose(getattr(got, key), expected[key], rtol=0, atol=1e-12)
+
     def test_never_active_condition_skips_all_pairs(self):
         scores = np.random.default_rng(5).random((8, 2))
         labels = np.zeros((8, 2))
@@ -268,3 +301,18 @@ class TestReport:
     def test_score_range_validated(self):
         with pytest.raises(ValueError):
             VideoEval("v", np.array([[1.5]]), np.array([[1.0]]), np.array([True]))
+
+
+class TestInputs:
+    def test_soft_labels_rejected_naming_the_video(self):
+        # with 0.3 everywhere, per-frame mAP would count one positive per class
+        # while the conditional metrics would skip every pair
+        with pytest.raises(ValueError, match="clip_7: labels must be 0 or 1"):
+            VideoEval("clip_7", np.full((4, 2), 0.5), np.full((4, 2), 0.3), np.ones(4, bool))
+
+    @pytest.mark.parametrize("score", [per_frame_map,
+                                       lambda run: action_conditional_metrics(run, 0)],
+                             ids=["per-frame", "conditional"])
+    def test_run_without_videos_rejected(self, score):
+        with pytest.raises(ValueError, match="no videos"):
+            score(EvalRun([]))

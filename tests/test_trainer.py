@@ -319,10 +319,25 @@ class TestCheckpoints:
         lambda h: h["tensors"][0].pop("dtype"),
         lambda h: h["adam"].pop("beta1"),
         lambda h: h.pop("scheduler"),
+        lambda h: h["tensors"][0].update(dtype="object"),
+        lambda h: h["tensors"][0].update(dtype="complex128"),
+        lambda h: h["tensors"][0].update(dtype=None),
+        lambda h: h["tensors"][0].update(shape=[1.5]),
+        lambda h: h["tensors"][0].update(shape=[-1]),
+        lambda h: h["tensors"][0].update(shape="8"),
+        lambda h: h["adam"].update(beta1="x"),
+        lambda h: h["adam"].update(step_count="3"),
+        lambda h: h["adam"].update(step_count=2.5),
+        lambda h: h["scheduler"].update(best_value=None),
+        lambda h: h["scheduler"].update(num_bad_epochs=True),
+        lambda h: h.update(epoch="1"),
     ], ids=["unknown-config-key", "mix-bias-false", "bn-eps-changed", "config-invalid",
             "config-key-missing", "tensor-without-name", "tensor-without-kind",
             "tensor-without-shape", "tensor-without-dtype", "adam-key-missing",
-            "scheduler-missing"])
+            "scheduler-missing", "dtype-object", "dtype-complex", "dtype-null",
+            "shape-fractional", "shape-negative", "shape-string", "beta1-string",
+            "step-count-string", "step-count-fractional", "best-value-null",
+            "bad-epochs-bool", "epoch-string"])
     def test_malformed_header_fields_rejected(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
         save_checkpoint(fresh_state(memory_corpus(), desk_config()), path)
