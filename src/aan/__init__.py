@@ -26,7 +26,6 @@ from .tensor import (
     ConfigurationError,
     DegenerateBatchError,
     DimensionError,
-    EmptyMaskError,
     Tensor,
     no_grad,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "CorpusIndex",
     "DegenerateBatchError",
     "DimensionError",
-    "EmptyMaskError",
     "EvalRun",
     "FeatureSequence",
     "IntervalLabelSet",

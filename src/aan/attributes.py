@@ -48,12 +48,11 @@ def init_extractor(n_attributes: int, dim: int, rng: np.random.Generator,
     return AttributeExtractorParams(weight=weight, bn=bn)
 
 
-def extract_attributes(frames: Tensor, params: AttributeExtractorParams, mode: str,
-                       mask: np.ndarray | None = None) -> Tensor:
+def extract_attributes(frames: Tensor, params: AttributeExtractorParams, mode: str) -> Tensor:
     """Map frame features [T, D0] to per-attribute features [T, N, D0].
 
-    Applies each attribute's filter, normalizes per channel over the valid
-    frames, then rectifies.  Output is therefore elementwise non-negative.
+    Applies each attribute's filter, normalizes per channel over the frames,
+    then rectifies.  Output is therefore elementwise non-negative.
     """
     if frames.ndim != 2:
         raise DimensionError(f"expected frames [T, D0], got {frames.shape}")
@@ -66,7 +65,7 @@ def extract_attributes(frames: Tensor, params: AttributeExtractorParams, mode: s
 
     pre = (frames @ params.weight).transpose((1, 0, 2))   # [N,T,D0] -> [T,N,D0]
     if params.bn is not None:
-        pre = batch_norm(pre.reshape(t, n * d0), params.bn, mode, mask=mask)
+        pre = batch_norm(pre.reshape(t, n * d0), params.bn, mode)
         pre = pre.reshape(t, n, d0)
     return pre.relu()
 

@@ -255,13 +255,12 @@ def _gradcheck_suite(seed: int, inject_fault: bool = False):
                    lambda t: (softmax_lastaxis(t["x"]) * Tensor(w_soft)).sum(),
                    {"x": rng.standard_normal((3, 5))}))
 
-    bn_mask = np.array([True, True, False, True, True])
-    w_bn = rng.standard_normal((5, 3)) * bn_mask[:, None]
+    w_bn = rng.standard_normal((5, 3))
 
     def f_bn(t):
         state = make_batch_norm_state(3)
         state.gain, state.bias = t["gain"], t["bias"]
-        return (batch_norm(t["x"], state, "train", mask=bn_mask) * Tensor(w_bn)).sum()
+        return (batch_norm(t["x"], state, "train") * Tensor(w_bn)).sum()
 
     checks.append(("batch_norm", f_bn, {
         "x": rng.standard_normal((5, 3)),
@@ -270,20 +269,17 @@ def _gradcheck_suite(seed: int, inject_fault: bool = False):
     }))
 
     y_bce = rng.integers(0, 2, (4, 2)).astype(float)
-    mask_bce = np.array([True, True, False, True])
-    checks.append(("sigmoid_bce", lambda t: bce_with_logits(t["z"], y_bce, mask_bce),
+    checks.append(("sigmoid_bce", lambda t: bce_with_logits(t["z"], y_bce),
                    {"z": rng.standard_normal((4, 2))}))
 
-    mask_mse = np.array([True, False, True])
     checks.append(("mse_to_anchor",
-                   lambda t: mse_to_anchor(t["i"], t["anchors"], mask_mse),
+                   lambda t: mse_to_anchor(t["i"], t["anchors"]),
                    {"i": rng.standard_normal((3, 2, 3)),
                     "anchors": rng.standard_normal((2, 3))}))
 
     w_tc = rng.standard_normal((5, 2, 3))
-    mask_tc = np.array([True, True, True, False, True])
     checks.append(("depthwise_temporal_conv",
-                   lambda t: (depthwise_temporal_conv(t["x"], t["kernel"], mask=mask_tc)
+                   lambda t: (depthwise_temporal_conv(t["x"], t["kernel"])
                               * Tensor(w_tc)).sum(),
                    {"x": rng.standard_normal((5, 2, 3)),
                     "kernel": rng.standard_normal((3, 3))}))
@@ -295,12 +291,11 @@ def _gradcheck_suite(seed: int, inject_fault: bool = False):
 
     f_ext = rng.standard_normal((4, 3))
     a_ext = rng.standard_normal((2, 3))
-    mask_ext = np.array([True, True, True, False])
 
     def f_extract(t):
         params = AttributeExtractorParams(weight=t["w"], bn=None)
-        out = extract_attributes(Tensor(f_ext), params, "train", mask=mask_ext)
-        return mse_to_anchor(out, Tensor(a_ext), mask_ext)
+        out = extract_attributes(Tensor(f_ext), params, "train")
+        return mse_to_anchor(out, Tensor(a_ext))
 
     checks.append(("extract_attributes", f_extract,
                    {"w": rng.standard_normal((2, 3, 3))}))
@@ -321,12 +316,10 @@ def _gradcheck_suite(seed: int, inject_fault: bool = False):
     }))
 
     x_tm = rng.standard_normal((4, 2, 3))
-    mask_tm = np.array([True, True, True, False])
-    w_tm = rng.standard_normal((4, 2, 3)) * mask_tm[:, None, None]
+    w_tm = rng.standard_normal((4, 2, 3))
 
     def f_mix(t):
-        out = temporal_mix(Tensor(x_tm), t["w4"], t["b4"], t["kernel"],
-                           t["w5"], t["b5"], mask=mask_tm)
+        out = temporal_mix(Tensor(x_tm), t["w4"], t["b4"], t["kernel"], t["w5"], t["b5"])
         return (out * Tensor(w_tm)).sum()
 
     checks.append(("temporal_mix", f_mix, {
@@ -352,14 +345,13 @@ def _gradcheck_suite(seed: int, inject_fault: bool = False):
     feats = rng.standard_normal((4, 6))
     anchors = rng.standard_normal((3, 6))
     labels = rng.integers(0, 2, (4, 2)).astype(float)
-    mask = np.ones(4, dtype=bool)
 
     def f_model(tensors):
         trial = clone_state(base_state)
         for name, t in tensors.items():
             trial.params[name] = t
-        result = forward(feats, anchors, trial, "train", mask=mask)
-        loss = total_loss(result, labels, anchors, mask).total
+        result = forward(feats, anchors, trial, "train")
+        loss = total_loss(result, labels, anchors).total
         if inject_fault:
             loss = _faulty_identity(loss)  # test hook: wrong backward, same value
         return loss
@@ -397,7 +389,7 @@ def cmd_predict(args) -> int:
         raise CorpusError(
             f"feature dim {fs.dim} does not match checkpoint input_dim {state.config.input_dim}"
         )
-    scores = predict_scores(state, fs.features.astype(np.float64), fs.mask)
+    scores = predict_scores(state, fs.features.astype(np.float64))
     write_score_file(args.out, scores.astype(np.float32))
     print(json.dumps({"out": str(args.out), "frames": fs.frame_count,
                       "classes": int(scores.shape[1])}, sort_keys=True))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,24 +69,17 @@ def stable_index(parts: tuple, bound: int) -> int:
 
 @dataclass
 class FeatureSequence:
-    """One video's frame embeddings plus a frame validity mask."""
+    """One video's frame embeddings, every frame a real one."""
 
     video_id: str
-    features: np.ndarray          # [T, D0]
-    mask: np.ndarray | None = None  # [T] bool, True = valid frame
+    features: np.ndarray          # [T, D0], T >= 1
 
     def __post_init__(self):
         self.features = np.asarray(self.features)
         if self.features.ndim != 2:
             raise ValidationError(f"features must be [T, D0], got shape {self.features.shape}")
-        if self.mask is None:
-            self.mask = np.ones(self.features.shape[0], dtype=bool)
-        else:
-            self.mask = np.asarray(self.mask, dtype=bool)
-        if self.mask.shape != (self.features.shape[0],):
-            raise ValidationError("mask length must equal frame count")
-        if not self.mask.any():
-            raise ValidationError(f"video {self.video_id!r} has no valid frames")
+        if self.features.shape[0] < 1:
+            raise ValidationError(f"video {self.video_id!r} has no frames")
         if not np.isfinite(self.features).all():
             raise ValidationError(f"video {self.video_id!r} has non-finite features")
 
@@ -694,14 +687,30 @@ def write_corpus(corpus: SyntheticCorpus, out_dir) -> Path:
 # batching
 # ---------------------------------------------------------------------------
 
+def check_all_frames(mask, frame_count: int) -> None:
+    """Raise unless `mask` is None or all-True [T]: every frame is used.  Kept
+    only while the benchmark passes masks; it goes with them (ROADMAP item 2)."""
+    if mask is not None and not np.array_equal(mask, np.ones(frame_count, dtype=bool)):
+        raise ValueError(f"frame masks are not supported: every one of the {frame_count} "
+                         "frames is used, so only None or an all-True mask is accepted")
+
+
 @dataclass
 class LoadedVideo:
-    """A video, or a training crop of one: features, dense labels and mask."""
+    """A video, or a training crop of one: features and dense labels."""
 
     video_id: str
     features: np.ndarray          # [T, D0] float
     labels: np.ndarray            # [T, C] 0/1
-    mask: np.ndarray              # [T] bool
+    frame_mask: InitVar[np.ndarray | None] = None   # see check_all_frames
+
+    def __post_init__(self, frame_mask):
+        check_all_frames(frame_mask, self.features.shape[0])
+
+    @property
+    def mask(self) -> np.ndarray:
+        """[T] all-True, for `VideoEval` and the benchmark: every frame is real."""
+        return np.ones(self.features.shape[0], dtype=bool)
 
 
 def load_split(index: CorpusIndex, split: str, dtype=np.float64) -> list:
@@ -714,7 +723,6 @@ def load_split(index: CorpusIndex, split: str, dtype=np.float64) -> list:
             video_id=entry.video_id,
             features=fs.features.astype(dtype),
             labels=dense.astype(dtype),
-            mask=fs.mask.copy(),
         ))
     return out
 
@@ -739,6 +747,6 @@ def make_batches(videos: list, batch_size: int, max_frames: int | None = None,
         if max_frames is not None and t > max_frames:
             a = stable_index((seed, epoch, v.video_id, "crop"), t - max_frames + 1)
             v = LoadedVideo(v.video_id, v.features[a:a + max_frames],
-                            v.labels[a:a + max_frames], v.mask[a:a + max_frames])
+                            v.labels[a:a + max_frames])
         views.append(v)
     return [views[lo:lo + batch_size] for lo in range(0, len(views), batch_size)]

@@ -20,7 +20,7 @@ from .attributes import (
     extract_attributes,
     init_extractor,
 )
-from .data import AttributeMap
+from .data import AttributeMap, check_all_frames
 from .optim import AdamState
 from .tensor import (
     BatchNormState,
@@ -310,12 +310,11 @@ def graph_conv(x_heads: Tensor, adjacency: Tensor, w3: Tensor) -> Tensor:
 
 
 def temporal_mix(x: Tensor, w4: Tensor, b4: Tensor | None, kernel: Tensor,
-                 w5: Tensor, b5: Tensor | None,
-                 mask: np.ndarray | None = None) -> Tensor:
+                 w5: Tensor, b5: Tensor | None) -> Tensor:
     """Residual temporal block: channel mix, depthwise conv over frames,
     rectify, channel mix, add input."""
     mixed = affine(x, w4, b4)
-    conv = depthwise_temporal_conv(mixed, kernel, mask=mask)
+    conv = depthwise_temporal_conv(mixed, kernel)
     return affine(conv.relu(), w5, b5) + x
 
 
@@ -335,9 +334,9 @@ class ForwardResult:
 
 
 def forward(features: np.ndarray, anchors_selected: np.ndarray | None,
-            state: ModelState, mode: str,
-            mask: np.ndarray | None = None) -> ForwardResult:
-    """Run the configured wiring on one video's frames [T, D0]."""
+            state: ModelState, mode: str, mask: np.ndarray | None = None) -> ForwardResult:
+    """Run the configured wiring on one video's frames [T, D0].  `anchors_selected`
+    is unused; it and `mask` stay while the benchmark passes them."""
     cfg = state.config
     dt = cfg.np_dtype
     frames = Tensor(np.asarray(features, dtype=dt))
@@ -345,12 +344,13 @@ def forward(features: np.ndarray, anchors_selected: np.ndarray | None,
         raise DimensionError(
             f"features dim {frames.shape[1]} does not match model input_dim {cfg.input_dim}"
         )
+    check_all_frames(mask, frames.shape[0])
 
     if cfg.ablation == "linear":
         logits = affine(frames, state.params["linear.weight"], state.params["linear.bias"])
         return ForwardResult(logits=logits, attributes=None)
 
-    extracted = extract_attributes(frames, state.extractor(), mode, mask=mask)
+    extracted = extract_attributes(frames, state.extractor(), mode)
     x = bottleneck(extracted, state.params["bottleneck.weight"])
 
     if cfg.ablation == "full":
@@ -368,7 +368,7 @@ def forward(features: np.ndarray, anchors_selected: np.ndarray | None,
                                  state.params[f"blocks.{i}.mix.b4"],
                                  state.params[f"blocks.{i}.mix.kernel"],
                                  state.params[f"blocks.{i}.mix.w5"],
-                                 state.params[f"blocks.{i}.mix.b5"], mask=mask)
+                                 state.params[f"blocks.{i}.mix.b5"])
 
     logits = classify(x, state.params["classifier.weight"], state.params["classifier.bias"])
     return ForwardResult(logits=logits, attributes=extracted)
@@ -382,17 +382,18 @@ class LossBreakdown:
 
 
 def total_loss(result: ForwardResult, dense_labels: np.ndarray,
-               anchors_selected: np.ndarray | None, mask: np.ndarray | None,
+               anchors_selected: np.ndarray | None, mask: np.ndarray | None = None,
                attribute_weight: float = 1.0,
                normalize_anchors: bool = False) -> LossBreakdown:
-    """Action BCE plus the (weighted) attribute anchor term."""
-    action = bce_with_logits(result.logits, dense_labels, mask)
+    """Action BCE plus the (weighted) attribute anchor term, over all frames."""
+    check_all_frames(mask, result.logits.shape[0])
+    action = bce_with_logits(result.logits, dense_labels)
     if result.attributes is None or anchors_selected is None:
         return LossBreakdown(total=action, action=action.item(), attribute=0.0)
     anchors = np.asarray(anchors_selected, dtype=result.attributes.data.dtype)
     if normalize_anchors:
         anchors = anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
-    attr = mse_to_anchor(result.attributes, Tensor(anchors), mask)
+    attr = mse_to_anchor(result.attributes, Tensor(anchors))
     if attribute_weight == 1.0:
         total = action + attr
     else:

@@ -73,9 +73,10 @@ class EvalRun:
         return self.videos[0].scores.shape[1]
 
     def stacked(self) -> tuple:
-        """All valid frames concatenated across videos: (scores, labels)."""
+        """All valid frames concatenated across videos: (scores [F, C] float64,
+        labels [F, C] bool; exact, since every label is 0 or 1)."""
         scores = np.concatenate([v.scores[v.mask] for v in self.videos], axis=0)
-        labels = np.concatenate([v.labels[v.mask] for v in self.videos], axis=0)
+        labels = np.concatenate([v.labels[v.mask] > 0.5 for v in self.videos], axis=0)
         return scores, labels
 
 

@@ -2,8 +2,9 @@
 
 Every learnable computation in the model is composed from the operations in
 this module.  float64 is the default precision (tests and gradient checking
-require it); float32 is accepted for faster training.  Gradients of masked
-positions are exactly zero, so padded frames can never leak into a loss.
+require it); float32 is accepted for faster training.  Every frame an
+operation sees is a real frame: inputs are whole videos or crops of them,
+never padded, so statistics and losses run over all rows.
 
 One backward per graph; intermediates are released.  `Tensor.backward` frees
 each interior node's gradient and backward closure (with the activations it
@@ -29,10 +30,6 @@ class DegenerateBatchError(ValueError):
 
 class ConfigurationError(ValueError):
     """A structural hyperparameter is invalid (e.g. even conv kernel)."""
-
-
-class EmptyMaskError(ValueError):
-    """A loss was asked to average over zero valid positions."""
 
 
 _FLOAT_DTYPES = (np.float32, np.float64)
@@ -390,14 +387,11 @@ def make_batch_norm_state(num_features: int, eps: float = 1e-5, momentum: float 
     )
 
 
-def batch_norm(x: Tensor, state: BatchNormState, mode: str,
-               mask: np.ndarray | None = None) -> Tensor:
+def batch_norm(x: Tensor, state: BatchNormState, mode: str) -> Tensor:
     """Normalize rows of x[B, F] per feature.
 
-    Train mode uses statistics of the valid rows (per `mask`) and folds them
-    into the running statistics in place; eval mode uses the running
-    statistics.  Rows outside the mask are normalized with the same statistics
-    but never contribute to them.
+    Train mode uses the statistics of all B rows and folds them into the
+    running statistics in place; eval mode uses the running statistics.
     """
     if x.ndim != 2:
         raise DimensionError(f"batch_norm expects a [rows, features] input, got {x.shape}")
@@ -410,16 +404,14 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str,
         raise ValueError(f"unknown batch_norm mode {mode!r}")
 
     gain, bias = state.gain, state.bias
+    m = x.shape[0]
     if mode == "eval":
         mu, var = state.running_mean, state.running_var
     else:
-        valid = np.ones(x.shape[0], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-        m = int(valid.sum())
         if m < 2:
-            raise DegenerateBatchError(f"batch_norm train mode needs >= 2 valid rows, got {m}")
-        rows = x.data[valid]
-        mu = rows.mean(axis=0)
-        var = rows.var(axis=0)  # biased, used for normalization
+            raise DegenerateBatchError(f"batch_norm train mode needs >= 2 rows, got {m}")
+        mu = x.data.mean(axis=0)
+        var = x.data.var(axis=0)  # biased, used for normalization
         # running stats updated in place so shared buffers see the change
         mom = state.momentum
         state.running_mean *= 1.0 - mom
@@ -440,23 +432,20 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str,
                 d = g * gain.data
                 gx = d * inv
                 if mode == "train":
-                    # valid rows feel the coupling through mu/var; others only
-                    # the direct path (they never entered the statistics)
+                    # every row also feels the coupling through mu and var
                     s1 = d.sum(axis=0)
                     s2 = (d * xhat).sum(axis=0)
-                    gx[valid] -= inv * (s1 + xhat[valid] * s2) / m
+                    gx -= inv * (s1 + xhat * s2) / m
                 _accumulate(x, gx)
         out._backward = backward
     return out
 
 
-def depthwise_temporal_conv(x: Tensor, kernel: Tensor,
-                            mask: np.ndarray | None = None) -> Tensor:
+def depthwise_temporal_conv(x: Tensor, kernel: Tensor) -> Tensor:
     """Per-channel 1-D convolution along the frame axis of x[T, N, C].
 
-    The same kernel[C, k] is shared across all N nodes; frames outside the
-    mask are treated as zeros on input, and the output keeps length T via
-    zero padding of (k-1)/2 on both sides.
+    The same kernel[C, k] is shared across all N nodes; the output keeps
+    length T via zero padding of (k-1)/2 on both sides.
     """
     if x.ndim != 3:
         raise DimensionError(f"temporal conv expects [T, N, C], got {x.shape}")
@@ -470,13 +459,8 @@ def depthwise_temporal_conv(x: Tensor, kernel: Tensor,
 
     T, N, C = x.shape
     pad = (k - 1) // 2
-    mvec = None
-    xin = x.data
-    if mask is not None:
-        mvec = np.asarray(mask, dtype=x.data.dtype)
-        xin = xin * mvec[:, None, None]
     xpad = np.zeros((T + 2 * pad, N, C), dtype=x.data.dtype)
-    xpad[pad:pad + T] = xin
+    xpad[pad:pad + T] = x.data
 
     out_data = np.zeros((T, N, C), dtype=x.data.dtype)
     kd = kernel.data
@@ -495,10 +479,7 @@ def depthwise_temporal_conv(x: Tensor, kernel: Tensor,
                 gpad = np.zeros_like(xpad)
                 for j in range(k):
                     gpad[j:j + T] += g * kd[:, j]
-                gx = gpad[pad:pad + T]
-                if mvec is not None:
-                    gx = gx * mvec[:, None, None]
-                _accumulate(x, gx)
+                _accumulate(x, gpad[pad:pad + T])
         out._backward = backward
     return out
 
@@ -510,9 +491,8 @@ def mean_pool_nodes(x: Tensor) -> Tensor:
     return x.mean(axis=1)
 
 
-def bce_with_logits(logits: Tensor, targets: np.ndarray,
-                    mask: np.ndarray | None = None) -> Tensor:
-    """Mean binary cross entropy over valid positions, fused from logits.
+def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean binary cross entropy over all positions, fused from logits.
 
     Uses the log-sigmoid identity max(z,0) - z*y + log1p(exp(-|z|)) so large
     logits never overflow.
@@ -522,32 +502,23 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray,
         raise DimensionError(
             f"bce: targets shape {y.shape} does not match logits shape {logits.shape}"
         )
-    T = logits.shape[0]
-    w = np.ones(T, dtype=logits.data.dtype) if mask is None \
-        else np.asarray(mask, dtype=logits.data.dtype)
-    valid = w.sum()
-    if valid == 0:
-        raise EmptyMaskError("bce loss over an empty mask (no valid frames)")
-    count = valid * float(np.prod(logits.shape[1:])) if logits.ndim > 1 else valid
+    count = float(logits.data.size)
 
     z = logits.data
     per = np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    wshape = (T,) + (1,) * (logits.ndim - 1)
-    wb = w.reshape(wshape)
-    out = _result(np.asarray((per * wb).sum() / count), (logits,))
+    out = _result(np.asarray(per.sum() / count), (logits,))
     if out._parents:
         def backward(g):
-            _accumulate(logits, g * (_sigmoid(z) - y) * wb / count)
+            _accumulate(logits, g * (_sigmoid(z) - y) / count)
         out._backward = backward
     return out
 
 
-def mse_to_anchor(features: Tensor, anchors: Tensor,
-                  mask: np.ndarray | None = None) -> Tensor:
+def mse_to_anchor(features: Tensor, anchors: Tensor) -> Tensor:
     """Mean squared distance of features[T, N, D] to anchors[N, D].
 
-    Averages over attributes and valid frames: (1/(N*T_valid)) sum of
-    squared L2 residuals.
+    Averages over attributes and frames: (1/(N*T)) sum of squared L2
+    residuals.
     """
     if features.ndim != 3 or anchors.ndim != 2:
         raise DimensionError(
@@ -558,19 +529,14 @@ def mse_to_anchor(features: Tensor, anchors: Tensor,
             f"anchor count/dim mismatch: features {features.shape} vs anchors {anchors.shape}"
         )
     T, N, _ = features.shape
-    w = np.ones(T, dtype=features.data.dtype) if mask is None \
-        else np.asarray(mask, dtype=features.data.dtype)
-    valid = w.sum()
-    if valid == 0:
-        raise EmptyMaskError("anchor loss over an empty mask (no valid frames)")
-    scale = 1.0 / (N * valid)
+    scale = 1.0 / (N * T)
 
     diff = features.data - anchors.data[None, :, :]
     per_frame = (diff * diff).sum(axis=(1, 2))
-    out = _result(np.asarray((per_frame * w).sum() * scale), (features, anchors))
+    out = _result(np.asarray(per_frame.sum() * scale), (features, anchors))
     if out._parents:
         def backward(g):
-            common = (2.0 * scale) * diff * w[:, None, None]
+            common = (2.0 * scale) * diff
             if features.requires_grad:
                 _accumulate(features, g * common)
             if anchors.requires_grad:

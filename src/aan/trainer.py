@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 import time
 from dataclasses import asdict, dataclass, fields
@@ -85,6 +86,12 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
+        least = 1 if self.ablation == "linear" else 2   # batch norm needs two frames
+        if self.max_frames is not None and self.max_frames < least:
+            raise ValueError(f"max_frames must be >= {least} for ablation {self.ablation!r}, "
+                             f"got {self.max_frames}")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ValueError(f"grad_clip must be positive when set, got {self.grad_clip}")
         self.model_config(self.input_dim or 1, self.n_attributes or 1, self.n_classes or 1)
 
     def model_config(self, input_dim: int, n_attributes: int, n_classes: int) -> ModelConfig:
@@ -226,7 +233,7 @@ def _video_loss(result, state: ModelState, anchors, config: TrainConfig, mode: s
                 epoch: int, video: LoadedVideo):
     selected = select_anchor_prompt(anchors, mode, config.seed, epoch, video.video_id) \
         if state.config.ablation != "linear" else None
-    return total_loss(result, video.labels, selected, video.mask,
+    return total_loss(result, video.labels, selected,
                       attribute_weight=state.config.attribute_weight,
                       normalize_anchors=state.config.normalize_anchors)
 
@@ -250,7 +257,7 @@ def run_epoch(state: ModelState, corpus: LoadedCorpus, config: TrainConfig,
                                   seed=config.seed, epoch=epoch):
             breakdowns = []
             for v in batch:
-                result = forward(v.features, None, state, "train", mask=v.mask)
+                result = forward(v.features, None, state, "train")
                 breakdowns.append(_video_loss(result, state, corpus.anchors, config, "train",
                                               epoch, v))
             batch_loss = breakdowns[0].total
@@ -272,7 +279,7 @@ def run_epoch(state: ModelState, corpus: LoadedCorpus, config: TrainConfig,
         scored = []
         with tn.no_grad():
             for v in videos:
-                result = forward(v.features, None, state, "eval", mask=v.mask)
+                result = forward(v.features, None, state, "eval")
                 b = _video_loss(result, state, corpus.anchors, config, "eval", epoch, v)
                 losses.append((b.total.item(), b.action, b.attribute))
                 scored.append(VideoEval(v.video_id, result.logits.sigmoid().data,
@@ -298,17 +305,16 @@ def run_epoch(state: ModelState, corpus: LoadedCorpus, config: TrainConfig,
 # evaluation to score matrices
 # ---------------------------------------------------------------------------
 
-def predict_scores(state: ModelState, features: np.ndarray,
-                   mask: np.ndarray | None = None) -> np.ndarray:
+def predict_scores(state: ModelState, features: np.ndarray) -> np.ndarray:
     """Per-frame sigmoid class scores [T, C] for one video (eval mode)."""
     with tn.no_grad():
-        result = forward(features, None, state, "eval", mask=mask)
+        result = forward(features, None, state, "eval")
         return result.logits.sigmoid().data
 
 
 def evaluate(state: ModelState, videos: list) -> EvalRun:
     """Score a list of LoadedVideo into an EvalRun; read-only on the state."""
-    return EvalRun([VideoEval(v.video_id, predict_scores(state, v.features, v.mask),
+    return EvalRun([VideoEval(v.video_id, predict_scores(state, v.features),
                               v.labels, v.mask) for v in videos])
 
 
@@ -331,7 +337,11 @@ def _tensor_entries(state: ModelState) -> list:
 
 
 def save_checkpoint(state: ModelState, path) -> None:
-    """Versioned binary container: JSON header plus raw tensor payloads."""
+    """Versioned binary container: JSON header plus raw tensor payloads.
+
+    Written to a temporary file beside `path`, fsynced, then renamed over it,
+    so a failed write leaves an earlier checkpoint at `path` intact.
+    """
     entries = _tensor_entries(state)
     header = {
         "model_config": asdict(state.config),
@@ -351,12 +361,21 @@ def save_checkpoint(state: ModelState, path) -> None:
         ],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<HQ", CHECKPOINT_VERSION, len(blob)))
-        fh.write(blob)
-        for _, _, arr in entries:
-            fh.write(np.ascontiguousarray(arr).tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<HQ", CHECKPOINT_VERSION, len(blob)))
+            fh.write(blob)
+            for _, _, arr in entries:
+                fh.write(np.ascontiguousarray(arr).tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _header_number(value, what: str, integer: bool = False):

@@ -56,7 +56,7 @@ def to_loaded(raw):
     train_vids, val_vids = [], []
     for fs, ls in zip(raw.features, raw.labels):
         video = LoadedVideo(fs.video_id, fs.features.astype(np.float64),
-                            ls.densify(fs.frame_count), fs.mask.copy())
+                            ls.densify(fs.frame_count))
         (train_vids if raw.splits[fs.video_id] == "train" else val_vids).append(video)
     return LoadedCorpus(train=train_vids, val=val_vids, anchors=raw.anchors,
                         attribute_map=raw.attribute_map)

@@ -56,12 +56,11 @@ class TestExtractAttributes:
         rng = np.random.default_rng(7)
         frames = rng.standard_normal((4, 3))
         anchors = rng.standard_normal((2, 3))
-        mask = np.array([True, True, False, True])
 
         def f(t):
             params = AttributeExtractorParams(weight=t["w"], bn=None)
-            out = extract_attributes(Tensor(frames), params, "train", mask=mask)
-            return mse_to_anchor(out, Tensor(anchors), mask)
+            out = extract_attributes(Tensor(frames), params, "train")
+            return mse_to_anchor(out, Tensor(anchors))
 
         result = grad_check(f, {"w": rng.standard_normal((2, 3, 3))})
         assert result.max_rel_err <= 1e-5, result.per_input
@@ -120,7 +119,7 @@ class TestTrainedExtractorGeometry:
         train_vids, val_vids = [], []
         for fs, ls in zip(raw.features, raw.labels):
             video = LoadedVideo(fs.video_id, fs.features.astype(np.float64),
-                                ls.densify(fs.frame_count), fs.mask.copy())
+                                ls.densify(fs.frame_count))
             (train_vids if raw.splits[fs.video_id] == "train" else val_vids).append(video)
         corpus = LoadedCorpus(train=train_vids, val=val_vids, anchors=raw.anchors,
                               attribute_map=raw.attribute_map)
@@ -144,7 +143,7 @@ class TestTrainedExtractorGeometry:
         count_inactive = np.zeros(n)
         for v in corpus.val:
             with tn.no_grad():
-                out = forward(v.features, None, state, "eval", mask=v.mask)
+                out = forward(v.features, None, state, "eval")
             distances = np.linalg.norm(out.attributes.data - anchors0[None], axis=2)
             active = (v.labels @ incidence) > 0
             for a in range(n):

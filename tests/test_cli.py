@@ -143,6 +143,21 @@ class TestTrain:
                    (tmp_path / "run" / "train_log.jsonl").read_text().splitlines()]
         assert records[-1]["train"]["mean_total"] < records[0]["train"]["mean_total"]
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--max-frames", "0", "--ablation", "linear"], "max_frames"),
+        (["--max-frames", "1"], "max_frames"),
+        (["--grad-clip", "-1"], "grad_clip"),
+    ], ids=["frames-0-linear", "frames-1-full", "clip-negative"])
+    def test_bad_crop_or_clip_exits_2_before_reading_the_corpus(self, tmp_path, capsys,
+                                                                flags, name):
+        # the manifest does not exist: the config is rejected before it is read
+        code = run_cli(["train", "--manifest", str(tmp_path / "nope.json"),
+                        "--out-dir", str(tmp_path / "run"), "--profile", "desk"] + flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert name in err and "nope.json" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_flag_rejected(self, tmp_path, capsys):
         code = run_cli(["train", "--manifest", "x", "--out-dir", "y", "--frobnicate"])
         capsys.readouterr()
@@ -305,6 +320,17 @@ class TestPredict:
                         "--features", str(bad), "--out", str(tmp_path / "s.aans")])
         capsys.readouterr()
         assert code == 2
+
+    def test_zero_frame_features_exit_2(self, trained, tmp_path, capsys):
+        _, run_dir = trained
+        blank = tmp_path / "blank.aanf"
+        write_feature_file(blank, np.zeros((0, 8), dtype=np.float32))
+        code = run_cli(["predict", "--checkpoint", str(run_dir / "best.ckpt"),
+                        "--features", str(blank), "--out", str(tmp_path / "s.aans")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'blank' has no frames" in err
+        assert not (tmp_path / "s.aans").exists()
 
     @pytest.mark.parametrize("cut", [8, 100])
     def test_checkpoint_truncated_in_its_header_exits_2(self, trained, tmp_path, capsys, cut):

@@ -68,6 +68,13 @@ class TestFeatureFile:
         with pytest.raises(FormatError, match="bad magic"):
             read_feature_file(path)
 
+    def test_zero_frame_file_rejected_naming_the_video(self, tmp_path):
+        path = tmp_path / "blank.aanf"
+        write_feature_file(path, np.zeros((0, 4), dtype=np.float32))
+        assert read_feature_header(path) == (0, 4)
+        with pytest.raises(ValidationError, match="'blank' has no frames"):
+            read_feature_file(path)
+
     def test_header_peek(self, tmp_path):
         path = tmp_path / "h.aanf"
         write_feature_file(path, np.zeros((9, 2), dtype=np.float32))
@@ -250,7 +257,6 @@ class TestBatching:
                 video_id=f"v{i}",
                 features=rng.standard_normal((t, dim)),
                 labels=rng.integers(0, 2, (t, classes)).astype(float),
-                mask=np.ones(t, dtype=bool),
             ))
         return out
 
@@ -264,15 +270,14 @@ class TestBatching:
         for v in views:
             src = source[v.video_id]
             n = min(src.features.shape[0], 8)
-            assert v.features.shape[0] == v.labels.shape[0] == v.mask.shape[0] == n
-            for view_array, src_array in ((v.features, src.features), (v.labels, src.labels),
-                                          (v.mask, src.mask)):
+            assert v.features.shape[0] == v.labels.shape[0] == n
+            for view_array, src_array in ((v.features, src.features), (v.labels, src.labels)):
                 assert np.shares_memory(view_array, src_array)
 
     def test_epoch_conserves_frames(self):
         videos = self._videos([3, 7, 5, 2])
         batches = make_batches(videos, 3, seed=1, epoch=4)
-        total = sum(v.mask.sum() for b in batches for v in b)
+        total = sum(v.features.shape[0] for b in batches for v in b)
         assert total == 3 + 7 + 5 + 2
         seen = sorted(v.video_id for b in batches for v in b)
         assert seen == ["v0", "v1", "v2", "v3"]

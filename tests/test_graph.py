@@ -5,7 +5,7 @@ import pytest
 from oracles import brute_force_prior, random_label_instance
 
 from aan import tensor as tn
-from aan.data import AttributeMap, IntervalLabelSet
+from aan.data import AttributeMap, IntervalLabelSet, LoadedVideo
 from aan.graph import (
     CoOccurrencePrior,
     ModelConfig,
@@ -227,12 +227,10 @@ class TestTemporalMix:
     def test_gradcheck(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((4, 2, 3))
-        mask = np.array([True, True, True, False])
-        weights = rng.standard_normal((4, 2, 3)) * mask[:, None, None]
+        weights = rng.standard_normal((4, 2, 3))
 
         def f(t):
-            out = temporal_mix(Tensor(x), t["w4"], t["b4"], t["kernel"], t["w5"], t["b5"],
-                               mask=mask)
+            out = temporal_mix(Tensor(x), t["w4"], t["b4"], t["kernel"], t["w5"], t["b5"])
             return (out * Tensor(weights)).sum()
 
         result = grad_check(f, {
@@ -351,9 +349,8 @@ class TestTotalLoss:
         feats = rng.standard_normal((5, 6))
         anchors = rng.standard_normal((3, 6))
         labels = rng.integers(0, 2, (5, 2)).astype(float)
-        mask = np.array([True, True, True, False, True])
-        result = forward(feats, anchors, state, "train", mask=mask)
-        breakdown = total_loss(result, labels, anchors, mask)
+        result = forward(feats, anchors, state, "train")
+        breakdown = total_loss(result, labels, anchors)
         assert abs(breakdown.total.item() - breakdown.action - breakdown.attribute) <= 1e-12
 
     def test_perfect_predictions_and_anchors_give_zero(self):
@@ -374,15 +371,61 @@ class TestTotalLoss:
         feats = rng.standard_normal((4, 6))
         anchors = rng.standard_normal((3, 6))
         labels = rng.integers(0, 2, (4, 2)).astype(float)
-        mask = np.array([True, True, True, True])
         base = {name: p.data.copy() for name, p in state.active_params().items()}
 
         def f(tensors):
             trial = clone_state(state)
             for name, t in tensors.items():
                 trial.params[name] = t
-            result = forward(feats, anchors, trial, "train", mask=mask)
-            return total_loss(result, labels, anchors, mask).total
+            result = forward(feats, anchors, trial, "train")
+            return total_loss(result, labels, anchors).total
 
         result = grad_check(f, base, h=1e-5, tol=1e-5)
         assert result.max_rel_err <= 1e-5, result.per_input
+
+
+class TestFrameMaskCompatibility:
+    """forward and total_loss take only the masks that change nothing."""
+
+    def inputs(self):
+        rng = np.random.default_rng(20)
+        return (rng.standard_normal((5, 6)), rng.standard_normal((3, 6)),
+                rng.integers(0, 2, (5, 2)).astype(float))
+
+    @pytest.mark.parametrize("mask", [np.array([True, True, False, True, True]),
+                                      np.zeros(5, bool), np.ones(4, bool), np.ones(6, bool)],
+                             ids=["partial", "empty", "short", "long"])
+    def test_other_masks_rejected(self, mask):
+        feats, anchors, labels = self.inputs()
+        state = tiny_state()
+        with pytest.raises(ValueError, match="frame masks are not supported"):
+            forward(feats, anchors, state, "train", mask=mask)
+        result = forward(feats, anchors, state, "train")
+        with pytest.raises(ValueError, match="frame masks are not supported"):
+            total_loss(result, labels, anchors, mask)
+
+    def test_loaded_video_takes_only_an_all_true_mask(self):
+        feats, _, labels = self.inputs()
+        video = LoadedVideo("v", feats, labels, np.ones(5, bool))
+        npt.assert_array_equal(video.mask, np.ones(5, bool))
+        with pytest.raises(ValueError, match="frame masks are not supported"):
+            LoadedVideo("v", feats, labels, np.array([True, True, False, True, True]))
+
+    def test_all_true_mask_equals_none_bitwise(self):
+        feats, anchors, labels = self.inputs()
+        runs = []
+        for mask in (None, np.ones(5, bool)):
+            state = tiny_state()
+            result = forward(feats, anchors, state, "train", mask=mask)
+            loss = total_loss(result, labels, anchors, mask)
+            loss.total.backward()
+            runs.append((result.logits.data, loss.total.data,
+                         {k: p.grad for k, p in state.params.items()},
+                         {k: b.copy() for k, b in state.buffers.items()}))
+        (logits_a, loss_a, grads_a, bufs_a), (logits_b, loss_b, grads_b, bufs_b) = runs
+        npt.assert_array_equal(logits_a, logits_b)
+        assert loss_a.tobytes() == loss_b.tobytes()
+        for name in grads_a:
+            assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
+        for name in bufs_a:
+            assert bufs_a[name].tobytes() == bufs_b[name].tobytes(), name

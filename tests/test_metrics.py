@@ -310,6 +310,15 @@ class TestInputs:
         with pytest.raises(ValueError, match="clip_7: labels must be 0 or 1"):
             VideoEval("clip_7", np.full((4, 2), 0.5), np.full((4, 2), 0.3), np.ones(4, bool))
 
+    def test_stacked_labels_are_an_exact_bool_copy(self):
+        rng = np.random.default_rng(30)
+        labels = [rng.integers(0, 2, (t, 3)).astype(float) for t in (4, 7)]
+        masks = [np.ones(4, bool), np.array([True, False, True, True, True, False, True])]
+        run = run_from([rng.random((4, 3)), rng.random((7, 3))], labels, masks)
+        scores, stacked = run.stacked()
+        assert stacked.dtype == bool and scores.dtype == np.float64
+        npt.assert_array_equal(stacked, np.concatenate([y[m] for y, m in zip(labels, masks)]))
+
     @pytest.mark.parametrize("score", [per_frame_map,
                                        lambda run: action_conditional_metrics(run, 0)],
                              ids=["per-frame", "conditional"])

@@ -10,7 +10,6 @@ from aan.tensor import (
     ConfigurationError,
     DegenerateBatchError,
     DimensionError,
-    EmptyMaskError,
     Tensor,
     affine,
     batch_norm,
@@ -118,19 +117,6 @@ class TestBatchNorm:
         with pytest.raises(DegenerateBatchError):
             batch_norm(Tensor([[1.0, 2.0]]), state, "train")
 
-    def test_masked_rows_do_not_enter_statistics(self):
-        state_a = make_batch_norm_state(2)
-        state_b = make_batch_norm_state(2)
-        x = np.arange(8.0).reshape(4, 2)
-        noisy = x.copy()
-        noisy[3] = 1e6
-        mask = np.array([True, True, True, False])
-        out_a = batch_norm(Tensor(x), state_a, "train", mask=mask)
-        out_b = batch_norm(Tensor(noisy), state_b, "train", mask=mask)
-        npt.assert_array_equal(out_a.data[:3], out_b.data[:3])
-        npt.assert_array_equal(state_a.running_mean, state_b.running_mean)
-        npt.assert_array_equal(state_a.running_var, state_b.running_var)
-
     def test_running_statistics_update(self):
         state = make_batch_norm_state(1, momentum=0.1)
         x = np.array([[0.0], [2.0]])
@@ -161,16 +147,15 @@ class TestBatchNorm:
         )
         assert result.passed, result.per_input
 
-    def test_masked_gradients(self):
+    def test_train_gradients_from_fresh_state(self):
         rng = np.random.default_rng(4)
-        mask = np.array([True, False, True, True, False])
-        weights = rng.standard_normal((5, 2)) * mask[:, None]
+        weights = rng.standard_normal((5, 2))
 
         def f(t):
             state = make_batch_norm_state(2)
             state.gain = t["gain"]
             state.bias = t["bias"]
-            return (batch_norm(t["x"], state, "train", mask=mask) * Tensor(weights)).sum()
+            return (batch_norm(t["x"], state, "train") * Tensor(weights)).sum()
 
         result = grad_check(
             f,
@@ -229,28 +214,12 @@ class TestBceWithLogits:
         logits = Tensor(np.array([[40.0, -40.0]]))
         assert float(bce_with_logits(logits, y).data) < 1e-12
 
-    def test_masked_frames_do_not_change_loss(self):
-        rng = np.random.default_rng(9)
-        z = rng.standard_normal((5, 2))
-        y = rng.integers(0, 2, (5, 2)).astype(float)
-        mask = np.array([True, True, False, True, False])
-        a = bce_with_logits(Tensor(z), y, mask).data
-        z2 = z.copy()
-        z2[~mask] = 1e3
-        b = bce_with_logits(Tensor(z2), y, mask).data
-        assert float(a) == float(b)
-
-    def test_empty_mask_rejected(self):
-        with pytest.raises(EmptyMaskError):
-            bce_with_logits(Tensor(np.zeros((2, 2))), np.zeros((2, 2)), np.zeros(2, bool))
-
     def test_gradient(self):
         rng = np.random.default_rng(10)
         y = rng.integers(0, 2, (4, 3)).astype(float)
-        mask = np.array([True, False, True, True])
 
         def f(t):
-            return bce_with_logits(t["z"], y, mask)
+            return bce_with_logits(t["z"], y)
 
         assert grad_check(f, {"z": rng.standard_normal((4, 3))}).passed
 
@@ -278,12 +247,11 @@ class TestMseToAnchor:
         with pytest.raises(DimensionError):
             mse_to_anchor(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 4))))
 
-    def test_gradient_through_mask(self):
+    def test_gradient(self):
         rng = np.random.default_rng(13)
-        mask = np.array([True, False, True])
 
         def f(t):
-            return mse_to_anchor(t["i"], t["anchors"], mask)
+            return mse_to_anchor(t["i"], t["anchors"])
 
         assert grad_check(
             f,
@@ -310,13 +278,6 @@ class TestTemporalConv:
         with pytest.raises(ConfigurationError):
             depthwise_temporal_conv(Tensor(np.zeros((4, 1, 2))), Tensor(np.zeros((2, 4))))
 
-    def test_masked_frames_zeroed_on_input(self):
-        x = np.ones((4, 1, 1))
-        mask = np.array([True, True, False, True])
-        out = depthwise_temporal_conv(Tensor(x), Tensor(np.ones((1, 3))), mask=mask)
-        # frame 2 contributes nothing anywhere
-        npt.assert_array_equal(out.data[:, 0, 0], [2.0, 2.0, 2.0, 1.0])
-
     def test_kernel_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(15)
         x = rng.standard_normal((5, 2, 3))
@@ -328,13 +289,12 @@ class TestTemporalConv:
         result = grad_check(f, {"kernel": rng.standard_normal((3, 3))})
         assert result.max_rel_err <= 1e-6
 
-    def test_input_gradient_with_mask(self):
+    def test_input_gradient(self):
         rng = np.random.default_rng(16)
-        mask = np.array([True, False, True, True, True])
-        weights = rng.standard_normal((5, 2, 2)) * mask[:, None, None]
+        weights = rng.standard_normal((5, 2, 2))
 
         def f(t):
-            return (depthwise_temporal_conv(t["x"], t["kernel"], mask=mask) * Tensor(weights)).sum()
+            return (depthwise_temporal_conv(t["x"], t["kernel"]) * Tensor(weights)).sum()
 
         assert grad_check(
             f, {"x": rng.standard_normal((5, 2, 2)), "kernel": rng.standard_normal((2, 3))}
@@ -536,17 +496,15 @@ def _case_mean_pool(rng):
 
 def _case_bce(rng):
     y = rng.integers(0, 2, (4, 2)).astype(float)
-    mask = np.array([1, 1, 0, 1], bool)
     return (
-        lambda t: bce_with_logits(t["z"], y, mask),
+        lambda t: bce_with_logits(t["z"], y),
         {"z": rng.standard_normal((4, 2))},
     )
 
 
 def _case_mse_to_anchor(rng):
-    mask = np.array([1, 0, 1], bool)
     return (
-        lambda t: mse_to_anchor(t["i"], t["anchors"], mask),
+        lambda t: mse_to_anchor(t["i"], t["anchors"]),
         {"i": rng.standard_normal((3, 2, 3)), "anchors": rng.standard_normal((2, 3))},
     )
 

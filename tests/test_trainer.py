@@ -10,7 +10,7 @@ import pytest
 from aan import tensor as tn
 from aan.data import SynthSpec, generate_synthetic_corpus, write_corpus, read_manifest
 from aan import trainer as trainer_module
-from aan.graph import clone_state, forward, init_model_state, prior_from_dense, total_loss
+from aan.graph import clone_state, forward, init_model_state, prior_from_dense
 from aan.trainer import (
     CheckpointError,
     LoadedCorpus,
@@ -39,7 +39,6 @@ def memory_corpus(spec=None):
             video_id=fs.video_id,
             features=fs.features.astype(np.float64),
             labels=ls.densify(fs.frame_count),
-            mask=fs.mask.copy(),
         )
         (train_vids if corpus.splits[fs.video_id] == "train" else val_vids).append(video)
     return LoadedCorpus(train=train_vids, val=val_vids, anchors=corpus.anchors,
@@ -234,35 +233,6 @@ class TestRunEpoch:
         assert last < 0.5 * first
 
 
-class TestPaddingInvariance:
-    def test_padded_batches_match_per_video_losses(self):
-        for seed in range(10):
-            spec = SynthSpec(video_count=4, max_frames=16, dim=8, seed=seed)
-            corpus = memory_corpus(spec)
-            config = desk_config(max_epochs=1, seed=seed)
-            result = train(corpus, config)
-            state = result.state
-
-            videos = corpus.val or corpus.train
-            tb = max(v.features.shape[0] for v in videos)
-            padded_losses, padded_logits = [], []
-            with tn.no_grad():
-                for v in videos:
-                    pad = tb - v.features.shape[0]
-                    mask = np.pad(v.mask, (0, pad))
-                    out = forward(np.pad(v.features, ((0, pad), (0, 0))), None, state, "eval",
-                                  mask=mask)
-                    labels = np.pad(v.labels, ((0, pad), (0, 0)))
-                    padded_losses.append(total_loss(out, labels, None, mask).total.item())
-                    padded_logits.append(out.logits.data[mask])
-                solo_losses = []
-                for j, v in enumerate(videos):
-                    out = forward(v.features, None, state, "eval", mask=v.mask)
-                    solo_losses.append(total_loss(out, v.labels, None, v.mask).total.item())
-                    npt.assert_array_equal(padded_logits[j], out.logits.data[v.mask])
-            npt.assert_allclose(padded_losses, solo_losses, rtol=0, atol=1e-12)
-
-
 class TestCheckpoints:
     def test_round_trip_reproduces_forward_bitwise(self, tmp_path):
         corpus = memory_corpus()
@@ -345,6 +315,31 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: malformed header"):
             load_checkpoint(path)
 
+    def test_failed_write_leaves_previous_checkpoint_intact(self, tmp_path, monkeypatch):
+        corpus = memory_corpus()
+        first = train(corpus, desk_config(max_epochs=1))
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(first.state, path)
+        before = path.read_bytes()
+
+        class Unwritable:
+            """A tensor entry whose bytes cannot be produced: the write fails
+            after the header and the tensors before it."""
+            shape, dtype = (3,), np.dtype(np.float64)
+
+            def __array__(self, *args, **kwargs):
+                raise OSError("no space left on device")
+
+        entries = trainer_module._tensor_entries
+        monkeypatch.setattr(trainer_module, "_tensor_entries",
+                            lambda state: entries(state) + [("late", "param", Unwritable())])
+        later = train(corpus, desk_config(max_epochs=2), state=clone_state(first.state)).state
+        with pytest.raises(OSError, match="no space left"):
+            save_checkpoint(later, path)
+        assert path.read_bytes() == before
+        assert state_hash(load_checkpoint(path)) == state_hash(first.state)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt"]
+
     def test_checkpoint_without_prior_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(fresh_state(memory_corpus(), desk_config()), path)
@@ -365,8 +360,8 @@ class TestCheckpoints:
         assert state_hash(loaded) == state_hash(state)
         for video in corpus.val:
             with tn.no_grad():
-                a = forward(video.features, None, state, "eval", mask=video.mask).logits.data
-                b = forward(video.features, None, loaded, "eval", mask=video.mask).logits.data
+                a = forward(video.features, None, state, "eval").logits.data
+                b = forward(video.features, None, loaded, "eval").logits.data
             npt.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("ablation", ["full", "extractor-only"])
@@ -401,8 +396,8 @@ class TestCheckpoints:
             npt.assert_array_equal(loaded.adam.second_moment[name], state.adam.second_moment[name])
         for video in corpus.val:
             with tn.no_grad():
-                a = forward(video.features, None, state, "eval", mask=video.mask).logits.data
-                b = forward(video.features, None, loaded, "eval", mask=video.mask).logits.data
+                a = forward(video.features, None, state, "eval").logits.data
+                b = forward(video.features, None, loaded, "eval").logits.data
             npt.assert_array_equal(a, b)
 
     def test_resumed_run_without_improvement_still_writes_best(self, tmp_path):
@@ -468,6 +463,22 @@ class TestTrainOutputs:
             TrainConfig(plateau_patience=0).validate()
         with pytest.raises(ValueError):
             TrainConfig.from_dict({"no_such_key": 1})
+
+    @pytest.mark.parametrize("over", [
+        dict(max_frames=0, ablation="linear"), dict(max_frames=-3, ablation="linear"),
+        dict(max_frames=1, ablation="full"), dict(max_frames=1, ablation="extractor-only"),
+        dict(grad_clip=-1.0), dict(grad_clip=0.0), dict(grad_clip=float("nan")),
+    ], ids=["frames-0-linear", "frames-negative", "frames-1-full", "frames-1-extractor-only",
+            "clip-negative", "clip-0", "clip-nan"])
+    def test_crop_length_and_clip_norm_validated(self, over):
+        with pytest.raises(ValueError, match="max_frames|grad_clip"):
+            desk_config(**over).validate()
+
+    @pytest.mark.parametrize("over", [dict(max_frames=1, ablation="linear"),
+                                      dict(max_frames=2), dict(max_frames=None),
+                                      dict(grad_clip=0.5), dict(grad_clip=None)])
+    def test_valid_crop_lengths_and_clip_norms_accepted(self, over):
+        desk_config(**over).validate()
 
     def test_float32_training_mode_runs(self):
         corpus = memory_corpus()
