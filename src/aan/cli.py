@@ -18,7 +18,6 @@ import numpy as np
 from . import tensor as tn
 from .data import (
     CorpusError,
-    FormatError,
     SynthSpec,
     ValidationError,
     generate_synthetic_corpus,
@@ -31,7 +30,7 @@ from .data import (
 from .graph import build_prior, clone_state, forward, total_loss
 from .metrics import EvalRun, VideoEval, evaluate_run, format_table
 from .optim import NonFiniteGradientError, grad_check
-from .tensor import ConfigurationError, Tensor
+from .tensor import Tensor
 from .trainer import (
     CheckpointError,
     NonFiniteLossError,
@@ -163,7 +162,7 @@ def cmd_train(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _scores_run(index, videos, scores_dir) -> EvalRun:
+def _scores_run(videos, scores_dir) -> EvalRun:
     out = []
     for v in videos:
         path = Path(scores_dir) / f"{v.video_id}.aans"
@@ -191,7 +190,7 @@ def cmd_eval(args) -> int:
         raise CorpusError(f"split {args.split!r} is empty")
 
     if args.scores:
-        run = _scores_run(index, videos, args.scores)
+        run = _scores_run(videos, args.scores)
     else:
         if not args.checkpoint:
             raise ValidationError("eval needs --checkpoint or --scores")
@@ -485,8 +484,7 @@ def main(argv=None) -> int:
     except (NonFiniteLossError, NonFiniteGradientError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CorpusError, FormatError, CheckpointError, ValidationError,
-            ConfigurationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

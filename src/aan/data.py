@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import InitVar, dataclass
 from pathlib import Path
@@ -217,6 +218,18 @@ def _check_magic(fh, magic: bytes, path) -> None:
         raise FormatError(f"{path}: unsupported format version {version}")
 
 
+def _read_payload(fh, shape: tuple, path) -> np.ndarray:
+    """The rest of the file as a float32 array of `shape`, which it must fill exactly."""
+    expected = math.prod(shape) * 4
+    payload = fh.read()
+    if len(payload) != expected:
+        raise FormatError(
+            f"{path}: truncated payload: expected {expected} bytes for "
+            f"{'x'.join(map(str, shape))} float32, got {len(payload)}"
+        )
+    return np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+
+
 def write_feature_file(path, features: np.ndarray) -> None:
     features = np.asarray(features)
     t, d0 = features.shape
@@ -236,15 +249,8 @@ def read_feature_file(path, video_id: str | None = None) -> FeatureSequence:
     with open(path, "rb") as fh:
         _check_magic(fh, FEATURE_MAGIC, path)
         t, d0 = struct.unpack("<II", _read_exact(fh, 8, "header", path))
-        expected = t * d0 * 4
-        payload = fh.read()
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: truncated payload: expected {expected} bytes for {t}x{d0} "
-            f"float32, got {len(payload)}"
-        )
-    values = np.frombuffer(payload, dtype="<f4").reshape(t, d0)
-    return FeatureSequence(video_id=video_id or path.stem, features=values.copy())
+        values = _read_payload(fh, (t, d0), path)
+    return FeatureSequence(video_id=video_id or path.stem, features=values)
 
 
 def write_anchor_file(path, anchors: AnchorSet) -> None:
@@ -266,18 +272,8 @@ def read_anchor_file(path) -> AnchorSet:
         for _ in range(n + p):
             (length,) = struct.unpack("<I", _read_exact(fh, 4, "name length", path))
             strings.append(_read_exact(fh, length, "name bytes", path).decode("utf-8"))
-        expected = n * p * d0 * 4
-        payload = fh.read()
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: truncated payload: expected {expected} bytes, got {len(payload)}"
-        )
-    vectors = np.frombuffer(payload, dtype="<f4").reshape(n, p, d0)
-    return AnchorSet(
-        attribute_names=strings[:n],
-        prompt_templates=strings[n:],
-        anchors=vectors.copy(),
-    )
+        vectors = _read_payload(fh, (n, p, d0), path)
+    return AnchorSet(attribute_names=strings[:n], prompt_templates=strings[n:], anchors=vectors)
 
 
 def write_score_file(path, scores: np.ndarray) -> None:
@@ -291,13 +287,7 @@ def read_score_file(path) -> np.ndarray:
     with open(path, "rb") as fh:
         _check_magic(fh, SCORE_MAGIC, path)
         t, c = struct.unpack("<II", _read_exact(fh, 8, "header", path))
-        expected = t * c * 4
-        payload = fh.read()
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: truncated payload: expected {expected} bytes, got {len(payload)}"
-        )
-    return np.frombuffer(payload, dtype="<f4").reshape(t, c).copy()
+        return _read_payload(fh, (t, c), path)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +418,6 @@ class SynthSpec:
     noise_sigma: float = 0.1
     seed: int = 7
     train_fraction: float = 0.8
-    prompt_count: int = 4
     gap_max: int = 2              # longest idle stretch between scenes
 
     def validate(self) -> None:
@@ -446,8 +435,6 @@ class SynthSpec:
             raise ValidationError(f"need at least 2 videos, got {self.video_count}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValidationError("train_fraction must be in (0, 1)")
-        if self.prompt_count < 1:
-            raise ValidationError("need at least one prompt template")
 
 
 @dataclass
@@ -587,12 +574,10 @@ def generate_synthetic_corpus(spec: SynthSpec) -> SyntheticCorpus:
     base /= np.linalg.norm(base, axis=1, keepdims=True)
     base = base.astype(np.float32)
     names = [f"object_{i:02d}" for i in range(spec.n_attributes)]
-    templates = PROMPT_TEMPLATES[:spec.prompt_count]
-    while len(templates) < spec.prompt_count:
-        templates.append(f"a picture showing a {{}} (variant {len(templates)})")
-    variants = np.empty((spec.n_attributes, spec.prompt_count, spec.dim), dtype=np.float32)
+    templates = list(PROMPT_TEMPLATES)
+    variants = np.empty((spec.n_attributes, len(templates), spec.dim), dtype=np.float32)
     variants[:, 0] = base
-    for p in range(1, spec.prompt_count):
+    for p in range(1, len(templates)):
         jitter = base.astype(np.float64) + 0.03 * rng.standard_normal(base.shape)
         jitter /= np.linalg.norm(jitter, axis=1, keepdims=True)
         variants[:, p] = jitter.astype(np.float32)

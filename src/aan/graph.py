@@ -56,11 +56,9 @@ class CoOccurrencePrior:
 
 
 def build_prior(label_sets: list, attribute_map: AttributeMap, n_attributes: int,
-                frame_counts: list | None = None) -> CoOccurrencePrior:
+                frame_counts: list) -> CoOccurrencePrior:
     """Count frame-level attribute co-occurrence over interval label sets,
-    densifying one video at a time (see prior_from_dense)."""
-    if frame_counts is None:
-        frame_counts = [ls.min_frame_count() for ls in label_sets]
+    densifying one video at a time to its frame count (see prior_from_dense)."""
     dense = (ls.densify(t) for ls, t in zip(label_sets, frame_counts) if t > 0)
     return prior_from_dense(dense, attribute_map, n_attributes)
 
@@ -394,10 +392,7 @@ def total_loss(result: ForwardResult, dense_labels: np.ndarray,
     if normalize_anchors:
         anchors = anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
     attr = mse_to_anchor(result.attributes, Tensor(anchors))
-    if attribute_weight == 1.0:
-        total = action + attr
-    else:
-        total = action + attr * attribute_weight
+    total = action + attr * attribute_weight
     return LossBreakdown(total=total, action=action.item(), attribute=attr.item())
 
 

@@ -16,8 +16,8 @@ clipped cumulative-sum window per video marks, for every class j at once,
 the frames within tau of j; stacked, these form W [F, C].  Step j takes the
 n_j frames W[:, j] selects, counts every class's positives among them in one
 call, and scores the k classes i that have any as the rows of one [k, n_j]
-matrix: tp, predicted and positive counts are row sums, and AP comes from one
-row-wise stable argsort and a cumulative sum of hits over ranks.  Python
+matrix: tp, predicted and positive counts are row sums, and AP comes from the
+same row-wise ranking that per-frame AP uses, one row per class.  Python
 work grows with C; arithmetic with C * sum_j n_j, plus k * n_j log n_j for
 the sorts.
 """
@@ -83,25 +83,34 @@ class EvalRun:
 def average_precision(scores, labels) -> float:
     """AP of one ranking; stable descending sort, ties in original order."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
+    labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError(f"scores/labels must be equal-length vectors, got {scores.shape} and {labels.shape}")
-    n_pos = labels.sum()
-    if n_pos == 0:
+    hits = labels.astype(bool)
+    if np.count_nonzero(hits != labels):
+        raise ValueError("labels must be 0 or 1")
+    if not np.count_nonzero(hits):
         raise NoPositivesError("average precision undefined without positive labels")
-    return float(precision_at_positives(scores, labels).mean())
+    return float(precision_at_positives(scores, hits).mean())
 
 
 def precision_at_positives(scores, labels) -> np.ndarray:
-    """Precision at each positive's rank, in rank order (for --curves)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")
-    ranked = labels[order]
-    cumulative = np.cumsum(ranked)
-    ranks = np.arange(1, len(ranked) + 1)
-    at_positives = ranked > 0
-    return cumulative[at_positives] / ranks[at_positives]
+    """Precision at each positive's rank, in rank order (for --curves); labels 0/1."""
+    hits, precision = _ranked_precision(np.asarray(scores, dtype=np.float64)[None],
+                                        np.asarray(labels, dtype=bool)[None])
+    return precision[hits]
+
+
+def _ranked_precision(scores: np.ndarray, labels: np.ndarray) -> tuple:
+    """Rank each row of scores [k, n] by a stable descending sort: (hits [k, n]
+    bool in rank order, precision [k, n] float64 at every rank)."""
+    k, n = scores.shape
+    order = np.argsort(-scores, axis=1, kind="stable")
+    order += np.arange(k)[:, None] * n      # one flat gather; take_along_axis costs ~10 us a call
+    hits = labels.ravel()[order]
+    precision = np.cumsum(hits, axis=1, dtype=np.float64)
+    precision /= np.arange(1, n + 1)
+    return hits, precision
 
 
 @dataclass
@@ -130,9 +139,12 @@ class PerFrameMap:
 
 def per_frame_map(run: EvalRun) -> PerFrameMap:
     """Mean AP over classes with at least one positive valid frame."""
-    scores, labels = run.stacked()
+    return _per_frame_map(*run.stacked())
+
+
+def _per_frame_map(scores: np.ndarray, labels: np.ndarray) -> PerFrameMap:
     per_class, skipped, values = [], [], []
-    for c in range(run.class_count):
+    for c in range(scores.shape[1]):
         positives = int(labels[:, c].sum())
         if positives == 0:
             per_class.append(ClassAP(c, 0, None))
@@ -194,19 +206,22 @@ def action_conditional_metrics(run: EvalRun, tau: int,
     on that restricted set.  Pairs with no restricted positive of class i
     are skipped.  Precision with no predicted positives counts as 0.
     """
+    return _conditional_metrics(run, *run.stacked(), tau, threshold)
+
+
+def _conditional_metrics(run: EvalRun, scores: np.ndarray, labels: np.ndarray, tau: int,
+                         threshold: float) -> ConditionalMetrics:
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     c_count = run.class_count
 
-    # valid frames of every video, stacked once; windows[j, f]: frame f is
-    # within tau of a valid frame of the same video where class j is active
-    active = [(v.labels > 0.5) & v.mask[:, None] for v in run.videos]
-    scores = np.concatenate([v.scores[v.mask] for v in run.videos], axis=0)
-    labels = np.concatenate([a[v.mask] for a, v in zip(active, run.videos)], axis=0)
-    windows = np.concatenate([conditioning_window(a, tau)[v.mask]
-                              for a, v in zip(active, run.videos)], axis=0).T.copy()
+    # windows[j, f]: stacked frame f is within tau of a valid frame of the
+    # same video where class j is active
+    windows = np.concatenate(
+        [conditioning_window((v.labels > 0.5) & v.mask[:, None], tau)[v.mask] for v in run.videos],
+        axis=0).T.copy()
 
     precisions, recalls, f1s, aps = [], [], [], []
     skipped = 0
@@ -229,11 +244,9 @@ def action_conditional_metrics(run: EvalRun, tau: int,
         recall = tp / positives
         both = precision + recall
         f1 = np.divide(2 * precision * recall, both, out=np.zeros_like(tp), where=both > 0)
-        # AP: mean precision at each positive's rank, ranked by a stable sort
-        ranked = np.take_along_axis(y, np.argsort(-s, axis=1, kind="stable"), axis=1)
-        at_rank = np.cumsum(ranked, axis=1, dtype=np.float64)     # hits, then precision
-        at_rank /= np.arange(1, rows.size + 1)
-        at_rank *= ranked
+        # AP: mean precision at each positive's rank
+        hits, at_rank = _ranked_precision(s, y)
+        at_rank *= hits
         precisions.append(precision)
         recalls.append(recall)
         f1s.append(f1)
@@ -269,11 +282,12 @@ class MetricReport:
 
 def evaluate_run(run: EvalRun, taus: list | None = None, threshold: float = 0.5,
                  curves: bool = False) -> MetricReport:
-    report = MetricReport(per_frame=per_frame_map(run))
+    """Every metric of one run, from one stack of its valid frames."""
+    scores, labels = run.stacked()
+    report = MetricReport(per_frame=_per_frame_map(scores, labels))
     for tau in taus or []:
-        report.conditional.append(action_conditional_metrics(run, tau, threshold))
+        report.conditional.append(_conditional_metrics(run, scores, labels, tau, threshold))
     if curves:
-        scores, labels = run.stacked()
         report.curves = {
             str(c): precision_at_positives(scores[:, c], labels[:, c]).tolist()
             for c in range(run.class_count) if labels[:, c].sum() > 0

@@ -183,20 +183,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        out = _result(-self.data, (self,))
-        if out._parents:
-            def backward(g):
-                _accumulate(self, -g)
-            out._backward = backward
-        return out
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return self._lift(other) + (-self)
-
     def __mul__(self, other):
         other = self._lift(other)
         out = _result(self.data * other.data, (self, other))
@@ -210,11 +196,6 @@ class Tensor:
         return out
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
-        return self * (1.0 / float(scalar))
 
     def __matmul__(self, other):
         other = self._lift(other)
@@ -246,8 +227,6 @@ class Tensor:
 
     # -- shape manipulation ---------------------------------------------------
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old = self.data.shape
         out = _result(self.data.reshape(shape), (self,))
         if out._parents:
@@ -283,15 +262,6 @@ class Tensor:
             out._backward = backward
         return out
 
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            count = self.data.size
-        elif isinstance(axis, int):
-            count = self.data.shape[axis]
-        else:
-            count = int(np.prod([self.data.shape[a] for a in axis]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
     # -- elementwise nonlinearities ---------------------------------------------
     def relu(self):
         out = _result(np.maximum(self.data, 0), (self,))
@@ -299,16 +269,6 @@ class Tensor:
             def backward(g):
                 # subgradient at 0 is 0
                 _accumulate(self, g * (self.data > 0))
-            out._backward = backward
-        return out
-
-    def sigmoid(self):
-        out = _result(_sigmoid(self.data), (self,))
-        if out._parents:
-            s = out.data
-
-            def backward(g):
-                _accumulate(self, g * s * (1.0 - s))
             out._backward = backward
         return out
 
@@ -320,7 +280,8 @@ def _result(data: np.ndarray, parents: tuple) -> Tensor:
     return Tensor(data)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function of an array, stable for large |x|."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -488,7 +449,7 @@ def mean_pool_nodes(x: Tensor) -> Tensor:
     """Arithmetic mean across the node axis of x[T, N, C] -> [T, C]."""
     if x.ndim != 3:
         raise DimensionError(f"mean_pool_nodes expects [T, N, C], got {x.shape}")
-    return x.mean(axis=1)
+    return x.sum(axis=1) * (1.0 / x.shape[1])
 
 
 def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -509,7 +470,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     out = _result(np.asarray(per.sum() / count), (logits,))
     if out._parents:
         def backward(g):
-            _accumulate(logits, g * (_sigmoid(z) - y) / count)
+            _accumulate(logits, g * (sigmoid(z) - y) / count)
         out._backward = backward
     return out
 

@@ -48,6 +48,11 @@ class NonFiniteLossError(RuntimeError):
     """A batch produced a non-finite loss; training must abort."""
 
 
+# Keys that older resolved_config.json files hold, always at null: the model
+# takes these dimensions from the corpus.
+_RETIRED_KEYS = ("input_dim", "n_attributes", "n_classes")
+
+
 @dataclass
 class TrainConfig:
     """Everything a training run depends on besides the corpus itself."""
@@ -70,10 +75,6 @@ class TrainConfig:
     disable_temporal: bool = False
     normalize_anchors: bool = False
     dtype: str = "float64"
-    # optional expectations, validated against the corpus when set
-    input_dim: int | None = None
-    n_attributes: int | None = None
-    n_classes: int | None = None
 
     def validate(self) -> None:
         if self.learning_rate <= 0:
@@ -92,14 +93,9 @@ class TrainConfig:
                              f"got {self.max_frames}")
         if self.grad_clip is not None and not self.grad_clip > 0:
             raise ValueError(f"grad_clip must be positive when set, got {self.grad_clip}")
-        self.model_config(self.input_dim or 1, self.n_attributes or 1, self.n_classes or 1)
+        self.model_config(1, 1, 1)
 
     def model_config(self, input_dim: int, n_attributes: int, n_classes: int) -> ModelConfig:
-        for name, given, actual in (("input_dim", self.input_dim, input_dim),
-                                    ("n_attributes", self.n_attributes, n_attributes),
-                                    ("n_classes", self.n_classes, n_classes)):
-            if given is not None and given != actual:
-                raise ValueError(f"config expects {name}={given} but the corpus has {actual}")
         cfg = ModelConfig(
             n_attributes=n_attributes, n_classes=n_classes, input_dim=input_dim,
             hidden_dim=self.hidden_dim, n_blocks=self.n_blocks, n_heads=self.n_heads,
@@ -131,6 +127,9 @@ class TrainConfig:
     def from_dict(cls, doc: dict) -> "TrainConfig":
         doc = dict(doc)
         profile = doc.pop("profile", None)
+        for name in _RETIRED_KEYS:
+            if doc.pop(name, None) is not None:
+                raise ValueError(f"{name} is no longer a config key; only null is accepted")
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -161,16 +160,18 @@ class PlateauScheduler:
         self.factor = factor
         self.patience = patience
 
-    def step(self, value: float) -> float:
+    def step(self, value: float) -> bool:
+        """Record one validation loss; True when it improves on the best by
+        more than IMPROVEMENT_EPS, the rule that also keeps best.ckpt."""
         if value < self.state.best_value - IMPROVEMENT_EPS:
             self.state.best_value = value
             self.state.num_bad_epochs = 0
-        else:
-            self.state.num_bad_epochs += 1
-            if self.state.num_bad_epochs >= self.patience:
-                self.adam.learning_rate *= self.factor
-                self.state.num_bad_epochs = 0
-        return self.adam.learning_rate
+            return True
+        self.state.num_bad_epochs += 1
+        if self.state.num_bad_epochs >= self.patience:
+            self.adam.learning_rate *= self.factor
+            self.state.num_bad_epochs = 0
+        return False
 
 
 def plateau_scheduler(history, learning_rate: float, factor: float = 0.5,
@@ -282,7 +283,7 @@ def run_epoch(state: ModelState, corpus: LoadedCorpus, config: TrainConfig,
                 result = forward(v.features, None, state, "eval")
                 b = _video_loss(result, state, corpus.anchors, config, "eval", epoch, v)
                 losses.append((b.total.item(), b.action, b.attribute))
-                scored.append(VideoEval(v.video_id, result.logits.sigmoid().data,
+                scored.append(VideoEval(v.video_id, tn.sigmoid(result.logits.data),
                                         v.labels, v.mask))
         mean_ap = per_frame_map(EvalRun(scored)).mean_ap
 
@@ -309,7 +310,7 @@ def predict_scores(state: ModelState, features: np.ndarray) -> np.ndarray:
     """Per-frame sigmoid class scores [T, C] for one video (eval mode)."""
     with tn.no_grad():
         result = forward(features, None, state, "eval")
-        return result.logits.sigmoid().data
+        return tn.sigmoid(result.logits.data)
 
 
 def evaluate(state: ModelState, videos: list) -> EvalRun:
@@ -541,6 +542,10 @@ def train(index_or_corpus, config: TrainConfig, out_dir=None,
                                  corpus.anchors.attribute_count)
         state = init_model_state(model_config, prior, seed=config.seed,
                                  learning_rate=config.learning_rate)
+    short = [v.video_id for v in corpus.train if v.features.shape[0] < 2]
+    if short and state.config.ablation != "linear" and state.config.use_batch_norm:
+        raise ValueError(f"train video {short[0]!r} has fewer than 2 frames; batch norm "
+                         f"(ablation {state.config.ablation!r}) needs 2 in every train video")
 
     scheduler = PlateauScheduler(state.adam, state.scheduler,
                                  factor=config.plateau_factor,
@@ -553,7 +558,6 @@ def train(index_or_corpus, config: TrainConfig, out_dir=None,
         log_path = out / "train_log.jsonl"
 
     history = []
-    best_val_loss = state.scheduler.best_value
     best_val_map = None
     best_epoch = -1
 
@@ -561,7 +565,8 @@ def train(index_or_corpus, config: TrainConfig, out_dir=None,
         train_report = run_epoch(state, corpus, config, "train")
         val_report = run_epoch(state, corpus, config, "val")
         val_map = val_report.mean_ap
-        new_lr = scheduler.step(val_report.mean_total)
+        improved = scheduler.step(val_report.mean_total)
+        new_lr = state.adam.learning_rate
         state.epoch = epoch + 1
 
         record = {
@@ -580,8 +585,7 @@ def train(index_or_corpus, config: TrainConfig, out_dir=None,
                   f"val {val_report.mean_total:.4f}  mAP {val_map if val_map is None else round(val_map, 4)}  "
                   f"lr {new_lr:g}  ({train_report.duration_s:.1f}s)")
 
-        if val_report.mean_total < best_val_loss:
-            best_val_loss = val_report.mean_total
+        if improved:
             best_val_map = val_map
             best_epoch = epoch
             if out is not None:
@@ -593,6 +597,6 @@ def train(index_or_corpus, config: TrainConfig, out_dir=None,
             # a resumed run may never beat the inherited best; still leave a
             # usable best checkpoint behind
             save_checkpoint(state, out / "best.ckpt")
-    return TrainResult(state=state, history=history, best_val_loss=best_val_loss,
+    return TrainResult(state=state, history=history, best_val_loss=state.scheduler.best_value,
                        best_val_map=best_val_map, best_epoch=best_epoch)
 

@@ -12,7 +12,7 @@ import pytest
 
 import aan
 from aan.cli import main
-from aan.data import read_manifest, read_score_file, write_feature_file
+from aan.data import read_feature_file, read_manifest, read_score_file, write_feature_file
 from test_trainer import rewrite_header
 
 
@@ -193,6 +193,41 @@ class TestTrain:
         assert code == 2
         assert "no_such_option" in err
 
+    @pytest.mark.parametrize("value, code", [(None, 0), (8, 2)], ids=["null", "set"])
+    def test_old_resolved_config_with_retired_keys(self, trained, tmp_path, capsys, value, code):
+        corpus, run_dir = trained
+        doc = json.loads((run_dir / "resolved_config.json").read_text())
+        # resolved configs written before these keys were retired hold all three at null
+        doc.update(input_dim=value, n_attributes=None, n_classes=None, max_epochs=1)
+        config_path = tmp_path / "resolved_config.json"
+        config_path.write_text(json.dumps(doc))
+        got = run_cli(["train", "--manifest", str(corpus / "manifest.json"),
+                       "--out-dir", str(tmp_path / "run"), "--config", str(config_path),
+                       "--quiet"])
+        err = capsys.readouterr().err
+        assert got == code
+        if code == 2:
+            assert "input_dim" in err
+            assert not (tmp_path / "run").exists()
+
+    def test_one_frame_train_video_exits_2_naming_it(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert run_cli(corpus_args(corpus)) == 0
+        manifest = corpus / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        record = next(r for r in doc["videos"] if r["split"] == "train")
+        features = corpus / record["features"]
+        write_feature_file(features, read_feature_file(features).features[:1])
+        record["labels"] = [[c, 0, 0] for c, start, _ in record["labels"] if start == 0]
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run_cli(["train", "--manifest", str(manifest), "--out-dir", str(tmp_path / "run"),
+                        "--profile", "desk", "--max-epochs", "1", "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"train video {record['video_id']!r} has fewer than 2 frames" in err
+        assert not (tmp_path / "run" / "train_log.jsonl").exists()
+
 
 class TestEval:
     def test_eval_from_checkpoint(self, trained, capsys):
@@ -370,24 +405,46 @@ class TestPredict:
         assert f"{bad}: malformed header" in err
 
 
+def run_readme(first: int, last: int, cwd: Path, edits=()) -> subprocess.CompletedProcess:
+    """Run README's CLI steps `first` to `last` as written, with `aan` on PATH."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    steps = readme[readme.index(f"# {first}. "):]
+    steps = steps[:steps.index("```")].split(f"# {last + 1}. ")[0]
+    for old, new in edits:
+        assert old in steps
+        steps = steps.replace(old, new)
+    shim = cwd / "bin" / "aan"
+    shim.parent.mkdir()
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m aan.cli "$@"\n')
+    shim.chmod(0o755)
+    src = str(Path(aan.__file__).resolve().parents[1])
+    env = dict(os.environ, PATH=f"{shim.parent}{os.pathsep}{os.environ['PATH']}",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(["bash", "-e", "-c", steps], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
 class TestReadme:
+    def test_steps_1_to_5_run_as_written(self, tmp_path):
+        """Steps 1-5 on the corpus step 1 makes, with 2 training epochs in place of 120."""
+        done = run_readme(1, 5, tmp_path, edits=[("--max-epochs 120", "--max-epochs 2")])
+        assert done.returncode == 0, done.stderr
+        for path in ("corpus/manifest.json", "prior.json", "run/best.ckpt", "run/final.ckpt"):
+            assert (tmp_path / path).exists(), path
+        reports = [json.loads(line)["report"] for line in done.stdout.splitlines()
+                   if line.startswith('{"report"')]
+        assert len(reports) == 1
+        assert reports[0]["per_frame"]["mean_ap"] is not None
+        assert [c["tau"] for c in reports[0]["conditional"]] == [0, 20, 40]
+        assert "per-frame mAP" in done.stderr        # the --table output
+        assert "PASS  gradient oracle: 0 failing operation(s)" in done.stdout
+
     def test_step_6_scores_every_val_video_and_evaluates_them(self, trained, tmp_path):
         """Runs README step 6 as written, with `aan` on PATH, on the trained corpus."""
         corpus, run_dir = trained
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        step = readme[readme.index("# 6. "):]
-        step = step[:step.index("```")]
-        shim = tmp_path / "bin" / "aan"
-        shim.parent.mkdir()
-        shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m aan.cli "$@"\n')
-        shim.chmod(0o755)
         (tmp_path / "corpus").symlink_to(corpus)
         (tmp_path / "run").symlink_to(run_dir)
-        src = str(Path(aan.__file__).resolve().parents[1])
-        env = dict(os.environ, PATH=f"{shim.parent}{os.pathsep}{os.environ['PATH']}",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(["bash", "-e", "-c", step], cwd=tmp_path, env=env,
-                              capture_output=True, text=True)
+        done = run_readme(6, 6, tmp_path)
         assert done.returncode == 0, done.stderr
         val_ids = [entry.video_id for entry in read_manifest(corpus / "manifest.json").split("val")]
         assert sorted(p.name for p in (tmp_path / "scores_dir").iterdir()) == \

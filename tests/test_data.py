@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -54,13 +55,24 @@ class TestFeatureFile:
         write_feature_file(path, values)
         npt.assert_array_equal(read_feature_file(path).features, values)
 
-    def test_truncated_payload_names_byte_counts(self, tmp_path):
-        path = tmp_path / "z.aanf"
-        write_feature_file(path, np.zeros((5, 3), dtype=np.float32))
+    # each writes a 60-byte payload: 15 float32 values
+    @pytest.mark.parametrize("suffix, write, read", [
+        ("aanf", lambda p: write_feature_file(p, np.zeros((5, 3), dtype=np.float32)),
+         read_feature_file),
+        ("aant", lambda p: write_anchor_file(p, AnchorSet(["a", "b", "c"], ["{}"],
+                                                          np.ones((3, 1, 5)))),
+         read_anchor_file),
+        ("aans", lambda p: write_score_file(p, np.zeros((5, 3), dtype=np.float32)),
+         read_score_file),
+    ], ids=["aanf", "aant", "aans"])
+    def test_truncated_payload_names_byte_counts(self, tmp_path, suffix, write, read):
+        path = tmp_path / f"z.{suffix}"
+        write(path)
         raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) - 12])  # drop one row
-        with pytest.raises(FormatError, match="expected 60 bytes .* got 48"):
-            read_feature_file(path)
+        path.write_bytes(raw[: len(raw) - 12])  # drop three values
+        with pytest.raises(FormatError, match=re.escape(str(path)) +
+                           ": truncated payload: expected 60 bytes for .* float32, got 48"):
+            read(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.aanf"

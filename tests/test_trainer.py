@@ -8,11 +8,13 @@ import numpy.testing as npt
 import pytest
 
 from aan import tensor as tn
-from aan.data import SynthSpec, generate_synthetic_corpus, write_corpus, read_manifest
+from aan.data import (LoadedVideo, SynthSpec, generate_synthetic_corpus, read_manifest,
+                      write_corpus)
 from aan import trainer as trainer_module
 from aan.graph import clone_state, forward, init_model_state, prior_from_dense
 from aan.trainer import (
     CheckpointError,
+    EpochReport,
     LoadedCorpus,
     PlateauScheduler,
     TrainConfig,
@@ -410,6 +412,29 @@ class TestCheckpoints:
         assert (tmp_path / "b" / "best.ckpt").exists()
         assert first.best_epoch >= 0
 
+    def test_best_checkpoint_follows_the_scheduler_across_a_resume(self, tmp_path, monkeypatch):
+        # the second and third losses beat the first by less than
+        # IMPROVEMENT_EPS, the third by less than the second: neither counts,
+        # resumed or not
+        val_losses = [1.0, 1.0 - 5e-7, 1.0 - 2e-7]
+
+        def fake_epoch(state, corpus, config, mode):
+            loss = val_losses[state.epoch] if mode == "val" else 0.5
+            return EpochReport(state.epoch, mode, loss, loss, 0.0, 1,
+                               state.adam.learning_rate, mean_ap=0.5)
+
+        monkeypatch.setattr(trainer_module, "run_epoch", fake_epoch)
+        corpus = memory_corpus(SynthSpec(video_count=10, max_frames=16, dim=8, seed=6))
+        straight = train(corpus, desk_config(max_epochs=3), out_dir=tmp_path / "straight")
+        train(corpus, desk_config(max_epochs=2), out_dir=tmp_path / "resumed")
+        resumed = train(corpus, desk_config(max_epochs=3), out_dir=tmp_path / "resumed",
+                        state=load_checkpoint(tmp_path / "resumed" / "final.ckpt"))
+        assert (straight.best_epoch, straight.best_val_loss) == (0, 1.0)
+        assert (resumed.best_epoch, resumed.best_val_loss) == (-1, 1.0)
+        assert load_checkpoint(tmp_path / "resumed" / "best.ckpt").epoch == 1
+        assert (tmp_path / "resumed" / "best.ckpt").read_bytes() == \
+            (tmp_path / "straight" / "best.ckpt").read_bytes()
+
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         spec = SynthSpec(video_count=10, max_frames=16, dim=8, seed=6)
         config = desk_config(max_epochs=3, seed=5)
@@ -450,12 +475,6 @@ class TestTrainOutputs:
         assert {"epoch", "train", "val", "val_map", "learning_rate"} <= set(record)
         assert result.best_epoch >= 0
 
-    def test_config_expectation_mismatch(self):
-        corpus = memory_corpus()
-        config = desk_config(max_epochs=1, input_dim=99)
-        with pytest.raises(ValueError, match="input_dim"):
-            train(corpus, config)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1.0).validate()
@@ -479,6 +498,19 @@ class TestTrainOutputs:
                                       dict(grad_clip=0.5), dict(grad_clip=None)])
     def test_valid_crop_lengths_and_clip_norms_accepted(self, over):
         desk_config(**over).validate()
+
+    @pytest.mark.parametrize("ablation", ["full", "extractor-only", "linear"])
+    def test_one_frame_train_video_named_before_the_first_epoch(self, tmp_path, ablation):
+        corpus = memory_corpus()
+        short = corpus.train[3]
+        corpus.train[3] = LoadedVideo(short.video_id, short.features[:1], short.labels[:1])
+        config = desk_config(max_epochs=1, ablation=ablation)
+        if ablation == "linear":   # no batch norm: one frame is enough
+            assert len(train(corpus, config, out_dir=tmp_path).history) == 1
+            return
+        with pytest.raises(ValueError, match=f"train video '{short.video_id}' has fewer than 2"):
+            train(corpus, config, out_dir=tmp_path)
+        assert not (tmp_path / "train_log.jsonl").exists()
 
     def test_float32_training_mode_runs(self):
         corpus = memory_corpus()
