@@ -330,8 +330,8 @@ def _gradcheck_suite(seed: int, inject_fault: bool = False):
     w_bot = rng.standard_normal((2, 3, 2))
     x_bot = rng.standard_normal((2, 3, 4))
     checks.append(("bottleneck",
-                   lambda t: (bottleneck(Tensor(x_bot), t["w"]) * Tensor(w_bot)).sum(),
-                   {"w": rng.standard_normal((4, 2))}))
+                   lambda t: (bottleneck(t["x"], t["w"]) * Tensor(w_bot)).sum(),
+                   {"x": x_bot, "w": rng.standard_normal((4, 2))}))
 
     # full model: composed total loss on a tiny random instance
     cfg = ModelConfig(n_attributes=3, n_classes=2, input_dim=6, hidden_dim=4,

@@ -298,8 +298,8 @@ def attention_adjacency(x_heads: Tensor, w1: Tensor, w2: Tensor,
     """
     queries = x_heads @ w1
     keys = x_heads @ w2
-    scores = queries @ keys.transpose((0, 1, 3, 2))
-    return softmax_lastaxis(scores) + Tensor(prior.astype(x_heads.data.dtype))
+    attention = softmax_lastaxis(queries @ keys.transpose((0, 1, 3, 2)))
+    return attention + Tensor(prior.astype(x_heads.data.dtype))
 
 
 def graph_conv(x_heads: Tensor, adjacency: Tensor, w3: Tensor) -> Tensor:

@@ -35,30 +35,69 @@ class AdamState:
         return state
 
 
+ADAM_CHUNK = 32768
+"""Elements per in-place Adam pass: the six chunks a pass touches (p, m, v, g
+and two scratch rows) stay in cache, and a pass is long enough that its
+dozen ufunc calls cost little."""
+
+
 def adam_step(params: dict, state: AdamState) -> None:
     """Apply one bias-corrected Adam update to every parameter in `params`.
 
     Parameters with no accumulated gradient are treated as zero-gradient.
-    Raises NonFiniteGradientError naming the first parameter whose gradient
-    is not finite.
+    Every gradient is checked before anything is written: on a non-finite
+    gradient (NonFiniteGradientError, naming the first such parameter) or a
+    misshapen one (ValueError), no parameter, moment or step count changes.
+
+    The update runs in place over chunks of ADAM_CHUNK elements through two
+    scratch chunks, with the operations of
+    `m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    p -= lr * (m/c1) / (sqrt(v/c2) + eps)` in the same order, so the result
+    is bitwise that of the whole-array expressions.  A gradient is read in
+    its parameter's dtype, in any memory order.
     """
-    state.step_count += 1
-    t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    grads = {}
     for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        g = p.grad
+        if g is None:
+            g = np.broadcast_to(np.zeros((), dtype=p.data.dtype), p.data.shape)
         if not np.isfinite(g).all():
             raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name!r}")
+        grads[name] = g
+
+    state.step_count += 1
+    t = state.step_count
+    lr, b1, b2, eps = state.learning_rate, state.beta1, state.beta2, state.epsilon
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    for name, p in params.items():
         m = state.first_moment.setdefault(name, np.zeros_like(p.data))
         v = state.second_moment.setdefault(name, np.zeros_like(p.data))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        work = np.empty((2, min(ADAM_CHUNK, p.data.size)), dtype=p.data.dtype)
+        it = np.nditer([p.data, m, v, grads[name]],
+                       flags=["external_loop", "buffered", "zerosize_ok"],
+                       op_flags=[["readwrite"], ["readwrite"], ["readwrite"], ["readonly"]],
+                       op_dtypes=[p.data.dtype] * 4, casting="same_kind",
+                       order="K", buffersize=ADAM_CHUNK)
+        with it:
+            for pc, mc, vc, gc in it:
+                a, b = work[0, :pc.size], work[1, :pc.size]
+                mc *= b1
+                np.multiply(gc, 1.0 - b1, out=a)
+                mc += a
+                vc *= b2
+                np.multiply(gc, 1.0 - b2, out=a)
+                a *= gc
+                vc += a
+                np.divide(vc, c2, out=a)
+                np.sqrt(a, out=a)
+                a += eps
+                np.divide(mc, c1, out=b)
+                b *= lr
+                b /= a
+                pc -= b
 
 
 def zero_grads(params) -> None:

@@ -10,6 +10,13 @@ One backward per graph; intermediates are released.  `Tensor.backward` frees
 each interior node's gradient and backward closure (with the activations it
 captured) as soon as that closure has run, so a graph can be differentiated
 once.  Leaf gradients accumulate across backward calls on separate graphs.
+
+Gradient ownership.  Backward closures only read the gradient they are
+given, so an interior node's gradient may alias another node's gradient (or
+a read-only broadcast view): it takes its first gradient as given and sums a
+later one out of place.  A leaf owns its gradient: it copies the first one
+into a writable array of its own and adds later ones in place, so callers
+such as gradient clipping may scale leaf gradients in place.
 """
 
 from __future__ import annotations
@@ -86,9 +93,15 @@ def _shared_weight_grad(a: np.ndarray, g: np.ndarray, lead: int) -> np.ndarray:
 
 
 def _accumulate(t: "Tensor", grad: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += grad
+    """Add `grad` to t.grad under the ownership rule of the module docstring."""
+    if t._parents:
+        grad = grad.astype(t.data.dtype, copy=False)
+        t.grad = grad if t.grad is None else t.grad + grad
+    elif t.grad is None:
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = grad
+    else:
+        t.grad += grad
 
 
 def _topo_order(root: "Tensor") -> list:
@@ -204,14 +217,20 @@ class Tensor:
             raise DimensionError(f"matmul needs matrices, got shapes {a.shape} and {b.shape}")
         if a.shape[-1] != b.shape[-2]:
             raise DimensionError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-        out = _result(a @ b, (self, other))
+        lead = a.ndim - b.ndim
+        rows = lead > 0 and b.ndim == 2
+        if rows:
+            # a 2-D weight shared by every leading index: one GEMM over all rows
+            y = (a.reshape(-1, a.shape[-1]) @ b).reshape(*a.shape[:-1], b.shape[-1])
+        else:
+            y = a @ b
+        out = _result(y, (self, other))
         if out._parents:
-            lead = a.ndim - b.ndim
             shared = lead > 0 and a.shape[lead:-2] == b.shape[:-2]
 
             def backward(g):
                 if self.requires_grad:
-                    if shared and b.ndim == 2:
+                    if rows:
                         # one GEMM over all rows, not one per leading index
                         ga = (g.reshape(-1, g.shape[-1]) @ b.T).reshape(a.shape)
                     else:
@@ -312,9 +331,9 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 def softmax_lastaxis(x: Tensor) -> Tensor:
     """Row-stable softmax over the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
     out = _result(s, (x,))
     if out._parents:
         def backward(g):

@@ -11,7 +11,7 @@ import numpy.testing as npt
 import pytest
 
 import aan
-from aan.cli import main
+from aan.cli import _gradcheck_suite, main
 from aan.data import read_feature_file, read_manifest, read_score_file, write_feature_file
 from test_trainer import rewrite_header
 
@@ -308,6 +308,11 @@ class TestGradcheckCommand:
         assert out.count("PASS") >= 13
         assert "max_rel_err" in out
         assert "full_model_total_loss" in out
+
+    def test_bottleneck_case_differentiates_input_and_weight(self):
+        inputs = {name: arrays for name, _, arrays in _gradcheck_suite(1)}
+        assert set(inputs["bottleneck"]) == {"x", "w"}
+        assert inputs["bottleneck"]["x"].ndim == 3  # [T, N, D0]: the one-GEMM forward
 
     def test_injected_fault_fails_with_exit_1(self, capsys):
         assert run_cli(["gradcheck", "--inject-fault"]) == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -168,6 +170,23 @@ class TestAttention:
         w2 = Tensor(rng.standard_normal((2, 3, 3)))
         a = attention_adjacency(x, w1, w2, np.random.default_rng(5).random((4, 4)))
         assert (a.data >= 0).all()
+
+    def test_eval_peak_memory_is_about_two_adjacencies(self):
+        # eval on a long video: the [T, H, N, N] arrays dominate.  Scores turn
+        # into the softmax in place, so at most the softmax and the adjacency
+        # (plus the small queries and keys) are alive at once.
+        rng = np.random.default_rng(27)
+        t, h, n, dh = 500, 4, 16, 4
+        x = Tensor(rng.standard_normal((t, h, n, dh)))
+        w1, w2 = (Tensor(rng.standard_normal((h, dh, dh))) for _ in range(2))
+        tracemalloc.start()
+        try:
+            with tn.no_grad():
+                a = attention_adjacency(x, w1, w2, rng.random((n, n)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * a.data.nbytes, f"peak {peak / a.data.nbytes:.2f} adjacencies"
 
 
 class TestGraphConv:

@@ -2,7 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from aan.optim import AdamState, GradCheckResult, NonFiniteGradientError, adam_step, grad_check, zero_grads
+from aan.optim import (
+    ADAM_CHUNK, AdamState, GradCheckResult, NonFiniteGradientError, adam_step, grad_check, zero_grads,
+)
 from aan.tensor import Tensor
 
 
@@ -42,6 +44,43 @@ class TestAdam:
         state = AdamState.for_params({"theta": p}, learning_rate=0.1)
         with pytest.raises(NonFiniteGradientError, match="theta"):
             adam_step({"theta": p}, state)
+
+    @pytest.mark.parametrize("bad", [np.array([np.nan]), np.zeros(2)])
+    def test_rejected_gradient_changes_nothing(self, bad):
+        a, b = make_param([0.0]), make_param([0.0])
+        a.grad, b.grad = np.array([1.0]), bad
+        state = AdamState.for_params({"a": a, "b": b}, learning_rate=0.1)
+        with pytest.raises((NonFiniteGradientError, ValueError), match="'b'"):
+            adam_step({"a": a, "b": b}, state)
+        assert state.step_count == 0
+        npt.assert_array_equal(a.data, [0.0])
+        npt.assert_array_equal(state.first_moment["a"], [0.0])
+        npt.assert_array_equal(state.second_moment["a"], [0.0])
+
+    def test_chunked_update_is_bitwise_the_whole_array_update(self):
+        # 3 chunks + 7 elements (17 * 5783), with a Fortran-ordered gradient
+        rng = np.random.default_rng(1)
+        shapes = {"big": (17, 5783), "one": (1,)}
+        assert np.prod(shapes["big"]) == 3 * ADAM_CHUNK + 7
+        params = {k: make_param(rng.standard_normal(s)) for k, s in shapes.items()}
+        ref = {k: [p.data.copy(), np.zeros(s), np.zeros(s)] for (k, p), s in
+               zip(params.items(), shapes.values())}
+        state = AdamState.for_params(params, learning_rate=0.01)
+        for t in range(1, 4):
+            for k, p in params.items():
+                p.grad = np.asfortranarray(rng.standard_normal(shapes[k]))
+            adam_step(params, state)
+            c1, c2 = 1.0 - state.beta1 ** t, 1.0 - state.beta2 ** t
+            for k, (rp, m, v) in ref.items():
+                g = params[k].grad
+                m *= state.beta1
+                m += (1.0 - state.beta1) * g
+                v *= state.beta2
+                v += (1.0 - state.beta2) * g * g
+                rp -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+                npt.assert_array_equal(params[k].data, rp)
+                npt.assert_array_equal(state.first_moment[k], m)
+                npt.assert_array_equal(state.second_moment[k], v)
 
     def test_missing_gradient_treated_as_zero(self):
         p = make_param([4.0])

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from aan import tensor as tn
-from aan.optim import grad_check
+from aan.optim import clip_global_norm, grad_check
 from aan.tensor import (
     ConfigurationError,
     DegenerateBatchError,
@@ -368,7 +368,16 @@ MATMUL_SHAPES = {
     "frames_by_per_node_weight": ((4, 3), (2, 3, 5)),     # attribute extractor
     "heads_by_broadcast_weight": ((3, 2, 4, 3), (1, 3, 2)),
     "plain": ((4, 3), (3, 5)),
+    # the extractor's [N, T, D0] output enters the bottleneck as a [T, N, D0] view
+    "transposed_frames_nodes_by_weight": ((3, 4, 5), (5, 2)),
 }
+LEFT_AXES = {"transposed_frames_nodes_by_weight": (1, 0, 2)}
+
+
+def _left(a, name):
+    """The left operand as the product sees it: a transposed view where LEFT_AXES says so."""
+    axes = LEFT_AXES.get(name)
+    return a if axes is None else a.transpose(axes)
 
 
 class TestMatmulGradients:
@@ -376,8 +385,8 @@ class TestMatmulGradients:
     def test_matches_finite_differences(self, name):
         sa, sb = MATMUL_SHAPES[name]
         rng = np.random.default_rng(20)
-        w = rng.standard_normal((np.zeros(sa) @ np.zeros(sb)).shape)
-        result = grad_check(lambda t: (t["a"] @ t["b"] * Tensor(w)).sum(),
+        w = rng.standard_normal((_left(np.zeros(sa), name) @ np.zeros(sb)).shape)
+        result = grad_check(lambda t: (_left(t["a"], name) @ t["b"] * Tensor(w)).sum(),
                             {"a": rng.standard_normal(sa), "b": rng.standard_normal(sb)})
         assert result.passed, result.per_input
 
@@ -385,15 +394,82 @@ class TestMatmulGradients:
     def test_matches_unbroadcast_formula(self, name):
         sa, sb = MATMUL_SHAPES[name]
         rng = np.random.default_rng(21)
-        a = Tensor(rng.standard_normal(sa), requires_grad=True)
+        a = Tensor(_left(rng.standard_normal(sa), name), requires_grad=True)
         b = Tensor(rng.standard_normal(sb), requires_grad=True)
+        assert a.data.flags.c_contiguous == (name not in LEFT_AXES)
         out = a @ b
         g = rng.standard_normal(out.shape)
         out.backward(g)
-        npt.assert_allclose(a.grad, tn._unbroadcast(g @ np.swapaxes(b.data, -1, -2), sa),
+        npt.assert_allclose(a.grad, tn._unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
                             rtol=0, atol=1e-12)
         npt.assert_allclose(b.grad, tn._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, sb),
                             rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_shared_weight_forward_matches_per_frame_products(self, transposed):
+        # paper width: [T, N, D1] @ [D1, D1] as one GEMM over T*N rows
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((8, 64, 256)).transpose(1, 0, 2) if transposed \
+            else rng.standard_normal((64, 8, 256))
+        w = rng.standard_normal((256, 256))
+        y = (Tensor(x) @ Tensor(w)).data
+        stacked = np.stack([x[t] @ w for t in range(x.shape[0])])
+        assert y.shape == (64, 8, 256) and y.flags.c_contiguous
+        npt.assert_allclose(y, stacked, rtol=1e-12, atol=0)
+
+
+class TestGradientOwnership:
+    def test_leaves_of_a_sum_get_separate_gradients(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        (a + b).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_clipping_scales_each_leaf_gradient_once(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        (a + b).sum().backward()
+        norm = clip_global_norm({"a": a, "b": b}, max_norm=1.0)
+        assert norm == np.sqrt(6.0)
+        npt.assert_array_equal(a.grad, np.full(3, 1.0 / np.sqrt(6.0)))
+        npt.assert_array_equal(b.grad, np.full(3, 1.0 / np.sqrt(6.0)))
+
+    def test_leaf_used_twice_gets_the_summed_gradient(self):
+        a = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        (a + a).sum().backward()
+        npt.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+        a.grad = None
+        (a * a).sum().backward()
+        npt.assert_array_equal(a.grad, [2.0, -4.0, 6.0])
+
+    def test_leaf_owns_a_writable_gradient_from_a_broadcast(self):
+        a = Tensor(np.ones((4, 3)), requires_grad=True)
+        a.sum().backward()  # sum's backward hands over a read-only broadcast view
+        assert a.grad.flags.writeable and a.grad.flags.owndata
+        a.grad *= 2.0
+        npt.assert_array_equal(a.grad, np.full((4, 3), 2.0))
+
+    def test_float32_leaves_get_float32_gradients(self):
+        rng = np.random.default_rng(25)
+        x = Tensor(rng.standard_normal((4, 3, 5)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((5, 2)).astype(np.float32), requires_grad=True)
+        ((x @ w).relu() * 2.0 + x.sum(axis=2, keepdims=True)).sum().backward()
+        assert x.grad.dtype == np.float32 and w.grad.dtype == np.float32
+
+    def test_backward_mutates_no_interior_data(self):
+        rng = np.random.default_rng(26)
+        x = Tensor(rng.standard_normal((4, 3, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((5, 5)), requires_grad=True)
+        state = make_batch_norm_state(5)
+        h = (x @ w).relu() + x
+        h = depthwise_temporal_conv(h, Tensor(rng.standard_normal((5, 3)), requires_grad=True))
+        h = batch_norm(h.reshape(12, 5), state, "train").reshape(4, 3, 5)
+        loss = softmax_lastaxis(h + h).sum() + mean_pool_nodes(h).sum()
+        interior = [n for n in tn._topo_order(loss) if n._parents]
+        before = [n.data.copy() for n in interior]
+        loss.backward()
+        for node, data in zip(interior, before):
+            npt.assert_array_equal(node.data, data)
 
 
 class TestGraphRelease:
