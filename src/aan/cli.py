@@ -299,9 +299,9 @@ def _gradcheck_suite(seed: int, inject_fault: bool = False):
     checks.append(("extract_attributes", f_extract,
                    {"w": rng.standard_normal((2, 3, 3))}))
 
-    x_gc = rng.standard_normal((2, 1, 3, 4))
+    x_gc = rng.standard_normal((2, 2, 3, 4))  # [H, T, N, Dh]
     p_gc = rng.random((3, 3))
-    w_gc = rng.standard_normal((2, 1, 3, 4))
+    w_gc = rng.standard_normal((2, 2, 3, 4))
 
     def f_graph(t):
         a = attention_adjacency(t["x"], t["w1"], t["w2"], p_gc)
@@ -309,9 +309,9 @@ def _gradcheck_suite(seed: int, inject_fault: bool = False):
 
     checks.append(("attention_graph_conv", f_graph, {
         "x": x_gc,
-        "w1": rng.standard_normal((1, 4, 4)),
-        "w2": rng.standard_normal((1, 4, 4)),
-        "w3": rng.standard_normal((1, 4, 4)),
+        "w1": rng.standard_normal((2, 4, 4)),
+        "w2": rng.standard_normal((2, 4, 4)),
+        "w3": rng.standard_normal((2, 4, 4)),
     }))
 
     x_tm = rng.standard_normal((4, 2, 3))

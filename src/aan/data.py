@@ -319,6 +319,24 @@ class CorpusIndex:
         return read_feature_file(entry.feature_path, video_id=entry.video_id)
 
 
+def _video_record(record, i: int, path: Path) -> tuple:
+    """(video_id, features, split, label triples) of manifest video record i."""
+    if not isinstance(record, dict):
+        raise CorpusError(f"{path}: video record {i} is not an object")
+    vid, features, split = record.get("video_id"), record.get("features"), record.get("split")
+    if not (isinstance(vid, str) and isinstance(features, str) and isinstance(split, str)):
+        raise CorpusError(f"{path}: video record {i} needs string video_id, features and split")
+    labels = record.get("labels", [])
+    # bools are ints to isinstance, so the types are compared exactly
+    intervals = [tuple(iv) for iv in labels if isinstance(iv, list) and len(iv) == 3
+                 and type(iv[0]) is type(iv[1]) is type(iv[2]) is int] \
+        if isinstance(labels, list) else None
+    if intervals is None or len(intervals) != len(labels):
+        raise CorpusError(f"{path}: video {vid!r} labels must be [class, start, end] "
+                          f"triples of integers")
+    return vid, features, split, intervals
+
+
 def read_manifest(path) -> CorpusIndex:
     """Parse and validate a corpus manifest; all referenced files must exist."""
     path = Path(path)
@@ -328,7 +346,7 @@ def read_manifest(path) -> CorpusIndex:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}: not valid JSON: {exc}") from exc
-    if doc.get("format") != "aan-corpus":
+    if not isinstance(doc, dict) or doc.get("format") != "aan-corpus":
         raise CorpusError(f"{path}: not an aan-corpus manifest")
     root = path.parent
 
@@ -349,8 +367,12 @@ def read_manifest(path) -> CorpusIndex:
         attribute_count=len(map_doc["attribute_names"]),
     )
 
-    dim = int(doc["dim"])
-    class_count = int(doc["class_count"])
+    for key in ("dim", "class_count"):
+        if type(doc[key]) is not int or doc[key] < 1:
+            raise CorpusError(f"{path}: {key} must be an integer >= 1, got {doc[key]!r}")
+    dim, class_count = doc["dim"], doc["class_count"]
+    if not isinstance(doc["videos"], list):
+        raise CorpusError(f"{path}: videos must be a list of records")
     if anchors.dim != dim:
         raise CorpusError(
             f"{path}: anchor dim {anchors.dim} does not match corpus dim {dim}"
@@ -364,12 +386,12 @@ def read_manifest(path) -> CorpusIndex:
         raise CorpusError(f"{path}: attribute map and anchor set disagree on N")
 
     videos, seen = [], set()
-    for record in doc["videos"]:
-        vid = record["video_id"]
+    for i, record in enumerate(doc["videos"]):
+        vid, features, split, intervals = _video_record(record, i, path)
         if vid in seen:
             raise CorpusError(f"{path}: duplicate video_id {vid!r}")
         seen.add(vid)
-        fpath = root / record["features"]
+        fpath = root / features
         if not fpath.exists():
             raise FileNotFoundError(f"manifest references missing file: {fpath}")
         t, d0 = read_feature_header(fpath)
@@ -380,14 +402,14 @@ def read_manifest(path) -> CorpusIndex:
         labels = IntervalLabelSet(
             video_id=vid,
             class_count=class_count,
-            intervals=[tuple(iv) for iv in record.get("labels", [])],
+            intervals=intervals,
         )
         if labels.min_frame_count() > t:
             raise CorpusError(
                 f"{path}: video {vid!r} labels reach frame {labels.min_frame_count() - 1} "
                 f"but the file has only {t} frames"
             )
-        videos.append(VideoEntry(vid, fpath, labels, record["split"], t))
+        videos.append(VideoEntry(vid, fpath, labels, split, t))
 
     if not any(v.split == "train" for v in videos):
         raise CorpusError(f"{path}: empty train split (training impossible)")

@@ -5,6 +5,8 @@ reasoning block computes a per-frame, per-head attention adjacency, adds the
 global co-occurrence prior, propagates node features with a residual graph
 convolution, then mixes information across neighbouring frames with a
 depthwise temporal convolution wrapped in channel mixes (again residual).
+Attention runs heads-major, on [H, T, N, Dh], so each per-head weight is one
+GEMM over all T*N rows of its head.
 Node features are mean-pooled per frame and classified with a shared linear
 head into per-class logits.
 """
@@ -276,35 +278,41 @@ def bottleneck(extracted: Tensor, weight: Tensor) -> Tensor:
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """[T, N, D1] -> [T, H, N, D1/H]."""
+    """[T, N, D1] -> heads-major [H, T, N, D1/H] (a strided view)."""
     t, n, d1 = x.shape
-    return x.reshape(t, n, n_heads, d1 // n_heads).transpose((0, 2, 1, 3))
+    return x.reshape(t, n, n_heads, d1 // n_heads).transpose((2, 0, 1, 3))
 
 
 def merge_heads(x: Tensor) -> Tensor:
-    """[T, H, N, Dh] -> [T, N, H*Dh]."""
-    t, h, n, dh = x.shape
-    return x.transpose((0, 2, 1, 3)).reshape(t, n, h * dh)
+    """[H, T, N, Dh] -> [T, N, H*Dh]."""
+    h, t, n, dh = x.shape
+    return x.transpose((1, 2, 0, 3)).reshape(t, n, h * dh)
+
+
+def per_head(x_heads: Tensor, w: Tensor) -> Tensor:
+    """x_heads[H, T, N, Dh] @ w[H, Dh, Dh'] as one [T*N, Dh] @ [Dh, Dh'] GEMM per head."""
+    h, t, n, dh = x_heads.shape
+    return (x_heads.reshape(h, t * n, dh) @ w).reshape(h, t, n, w.shape[-1])
 
 
 def attention_adjacency(x_heads: Tensor, w1: Tensor, w2: Tensor,
                         prior: np.ndarray) -> Tensor:
     """Per-frame, per-head adjacency: softmax over keys plus the prior.
 
-    x_heads is [T, H, N, Dh]; the result is [T, H, N, N].  Each row is a
+    x_heads is [H, T, N, Dh]; the result is [H, T, N, N].  Each row is a
     probability vector plus the corresponding prior row, so rows sum to
     1 + sum(prior row).  The prior is added after the softmax, without
     renormalization.
     """
-    queries = x_heads @ w1
-    keys = x_heads @ w2
+    queries = per_head(x_heads, w1)
+    keys = per_head(x_heads, w2)
     attention = softmax_lastaxis(queries @ keys.transpose((0, 1, 3, 2)))
     return attention + Tensor(prior.astype(x_heads.data.dtype))
 
 
 def graph_conv(x_heads: Tensor, adjacency: Tensor, w3: Tensor) -> Tensor:
-    """Residual graph propagation per head: relu(A @ X @ W3) + X."""
-    return (adjacency @ x_heads @ w3).relu() + x_heads
+    """Residual graph propagation per head over [H, T, N, Dh]: relu(A @ X @ W3) + X."""
+    return per_head(adjacency @ x_heads, w3).relu() + x_heads
 
 
 def temporal_mix(x: Tensor, w4: Tensor, b4: Tensor | None, kernel: Tensor,

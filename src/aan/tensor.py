@@ -79,19 +79,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _shared_weight_grad(a: np.ndarray, g: np.ndarray, lead: int) -> np.ndarray:
-    """Gradient of b in a @ b when b is shared across a's `lead` leading axes.
-
-    The leading axes are folded into the contraction, so the sum over them
-    happens inside one matmul instead of over a stack of per-frame products.
-    """
-    batch = a.shape[lead:-2]
-    order = (*range(lead, a.ndim - 2), *range(lead), a.ndim - 2, a.ndim - 1)
-    a2 = a.transpose(order).reshape(*batch, -1, a.shape[-1])
-    g2 = g.transpose(order).reshape(*batch, -1, g.shape[-1])
-    return np.swapaxes(a2, -1, -2) @ g2
-
-
 def _accumulate(t: "Tensor", grad: np.ndarray) -> None:
     """Add `grad` to t.grad under the ownership rule of the module docstring."""
     if t._parents:
@@ -217,30 +204,28 @@ class Tensor:
             raise DimensionError(f"matmul needs matrices, got shapes {a.shape} and {b.shape}")
         if a.shape[-1] != b.shape[-2]:
             raise DimensionError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-        lead = a.ndim - b.ndim
-        rows = lead > 0 and b.ndim == 2
+        # two paths: a 2-D weight under leading axes is one GEMM over all rows
+        # (forward and both gradients); anything else is numpy's matmul
+        rows = a.ndim > 2 and b.ndim == 2
         if rows:
-            # a 2-D weight shared by every leading index: one GEMM over all rows
             y = (a.reshape(-1, a.shape[-1]) @ b).reshape(*a.shape[:-1], b.shape[-1])
         else:
             y = a @ b
         out = _result(y, (self, other))
         if out._parents:
-            shared = lead > 0 and a.shape[lead:-2] == b.shape[:-2]
-
             def backward(g):
                 if self.requires_grad:
                     if rows:
-                        # one GEMM over all rows, not one per leading index
                         ga = (g.reshape(-1, g.shape[-1]) @ b.T).reshape(a.shape)
                     else:
                         ga = _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)
                     _accumulate(self, ga)
                 if other.requires_grad:
-                    if shared:
-                        _accumulate(other, _shared_weight_grad(a, g, lead))
+                    if rows:
+                        gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
                     else:
-                        _accumulate(other, _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
+                        gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+                    _accumulate(other, gb)
             out._backward = backward
         return out
 

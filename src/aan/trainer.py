@@ -391,9 +391,14 @@ def _tensor_meta(meta) -> tuple:
     shape, dtype = meta["shape"], meta["dtype"]
     if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
         raise TypeError(f"tensor shape must be a list of non-negative integers, got {shape!r}")
-    if not isinstance(dtype, str) or np.dtype(dtype).kind not in "fi":
+    try:
+        # np.dtype raises SyntaxError, not only TypeError, on some strings (",loat64")
+        parsed = np.dtype(dtype) if isinstance(dtype, str) else None
+    except (TypeError, ValueError, SyntaxError):
+        parsed = None
+    if parsed is None or parsed.kind not in "fi":
         raise TypeError(f"tensor dtype must name a float or integer type, got {dtype!r}")
-    return meta["name"], meta["kind"], tuple(shape), np.dtype(dtype)
+    return meta["name"], meta["kind"], tuple(shape), parsed
 
 
 def load_checkpoint(path) -> ModelState:

@@ -91,6 +91,28 @@ def enumerate_conditional(run, tau, threshold):
     }
 
 
+def brute_force_attention_block(x, w1, w2, w3, prior):
+    """One block's attention plus graph conv, frame by frame and head by head.
+
+    x is [T, N, H*Dh], w1/w2/w3 are [H, Dh, Dh] and prior is [N, N].  Head h
+    owns columns h*Dh..(h+1)*Dh of x.  Only 2-D products are used, so no head
+    layout is assumed: softmax(x_th W1 (x_th W2)^T) + P, then
+    relu(A x_th W3) + x_th.  Returns [T, N, H*Dh].
+    """
+    t_count = x.shape[0]
+    h_count, dh, _ = w1.shape
+    out = np.empty_like(x)
+    for t in range(t_count):
+        for h in range(h_count):
+            cols = slice(h * dh, (h + 1) * dh)
+            x_th = x[t, :, cols]
+            scores = (x_th @ w1[h]) @ (x_th @ w2[h]).T
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            adjacency = e / e.sum(axis=1, keepdims=True) + prior
+            out[t, :, cols] = np.maximum(adjacency @ x_th @ w3[h], 0.0) + x_th
+    return out
+
+
 def random_label_instance(rng):
     """A small random attribute map plus interval label sets."""
     from aan.data import AttributeMap, IntervalLabelSet

@@ -179,7 +179,7 @@ class TestCriterion4StructuralIdentities:
 
         # adjacency rows sum to 1 + prior row sum
         n, dh, t, h = 5, 2, 3, 2
-        x = Tensor(rng.standard_normal((t, h, n, dh)))
+        x = Tensor(rng.standard_normal((h, t, n, dh)))
         p = rng.random((n, n))
         adjacency = attention_adjacency(x, Tensor(rng.standard_normal((h, dh, dh))),
                                         Tensor(rng.standard_normal((h, dh, dh))), p)

@@ -409,6 +409,18 @@ class TestPredict:
         assert code == 2
         assert f"{bad}: malformed header" in err
 
+    def test_unparsable_dtype_exits_2_naming_the_file(self, trained, tmp_path, capsys):
+        # np.dtype(",loat64") raises SyntaxError, which is neither TypeError nor ValueError
+        corpus, run_dir = trained
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes((run_dir / "best.ckpt").read_bytes())
+        rewrite_header(bad, lambda h: h["tensors"][0].update(dtype=",loat64"))
+        code = run_cli(["eval", "--manifest", str(corpus / "manifest.json"),
+                        "--checkpoint", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{bad}: malformed header" in err
+
 
 def run_readme(first: int, last: int, cwd: Path, edits=()) -> subprocess.CompletedProcess:
     """Run README's CLI steps `first` to `last` as written, with `aan` on PATH."""

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from aan.cli import main
 from aan.data import (
     AnchorSet,
     AttributeMap,
@@ -202,6 +203,42 @@ class TestManifest:
         (corpus_dir / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(CorpusError, match="frames"):
             read_manifest(corpus_dir / "manifest.json")
+
+
+def _set_dim_null(doc):
+    doc["dim"] = None
+
+
+def _set_class_count_true(doc):
+    doc["class_count"] = True
+
+
+def _set_first_record_empty(doc):
+    doc["videos"][0] = {}
+
+
+def _set_fractional_label_class(doc):
+    doc["videos"][0]["labels"] = [[1.5, 0, 0]]
+
+
+class TestManifestTypes:
+    """Ill-typed manifest values are CorpusErrors naming the manifest, and
+    `aan eval` exits 2 on them instead of escaping with a traceback."""
+
+    @pytest.mark.parametrize("edit", [_set_dim_null, _set_class_count_true,
+                                      _set_first_record_empty, _set_fractional_label_class],
+                             ids=["dim-null", "class-count-bool", "record-empty",
+                                  "label-class-fractional"])
+    def test_rejected_naming_the_manifest(self, corpus_dir, tmp_path, capsys, edit):
+        manifest = corpus_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(CorpusError, match=re.escape(str(manifest))):
+            read_manifest(manifest)
+        code = main(["eval", "--manifest", str(manifest), "--scores", str(tmp_path)])
+        assert code == 2
+        assert str(manifest) in capsys.readouterr().err
 
 
 class TestGenerator:

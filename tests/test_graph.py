@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oracles import brute_force_prior, random_label_instance
+from oracles import brute_force_attention_block, brute_force_prior, random_label_instance
 
 from aan import tensor as tn
 from aan.data import AttributeMap, IntervalLabelSet, LoadedVideo
@@ -20,6 +20,7 @@ from aan.graph import (
     graph_conv,
     init_model_state,
     merge_heads,
+    per_head,
     split_heads,
     temporal_mix,
     total_loss,
@@ -138,7 +139,7 @@ class TestHeadSplit:
         x = np.arange(8.0).reshape(1, 1, 8)
         heads = split_heads(Tensor(x), 2)
         npt.assert_array_equal(heads.data[0, 0, 0], [0, 1, 2, 3])
-        npt.assert_array_equal(heads.data[0, 1, 0], [4, 5, 6, 7])
+        npt.assert_array_equal(heads.data[1, 0, 0], [4, 5, 6, 7])
 
 
 class TestAttention:
@@ -154,14 +155,14 @@ class TestAttention:
     def test_row_sums_equal_one_plus_prior_row_sum(self):
         rng = np.random.default_rng(3)
         n, dh, t, h = 5, 2, 3, 2
-        x = Tensor(rng.standard_normal((t, h, n, dh)))
+        x = Tensor(rng.standard_normal((h, t, n, dh)))
         w1 = Tensor(rng.standard_normal((h, dh, dh)))
         w2 = Tensor(rng.standard_normal((h, dh, dh)))
         p = rng.random((n, n))
         a = attention_adjacency(x, w1, w2, p)
         expected = 1.0 + p.sum(axis=1)
         npt.assert_allclose(a.data.sum(axis=-1),
-                            np.broadcast_to(expected, (t, h, n)), atol=1e-9)
+                            np.broadcast_to(expected, (h, t, n)), atol=1e-9)
 
     def test_entries_non_negative(self):
         rng = np.random.default_rng(4)
@@ -177,7 +178,7 @@ class TestAttention:
         # (plus the small queries and keys) are alive at once.
         rng = np.random.default_rng(27)
         t, h, n, dh = 500, 4, 16, 4
-        x = Tensor(rng.standard_normal((t, h, n, dh)))
+        x = Tensor(rng.standard_normal((h, t, n, dh)))
         w1, w2 = (Tensor(rng.standard_normal((h, dh, dh))) for _ in range(2))
         tracemalloc.start()
         try:
@@ -187,6 +188,38 @@ class TestAttention:
         finally:
             tracemalloc.stop()
         assert peak < 3 * a.data.nbytes, f"peak {peak / a.data.nbytes:.2f} adjacencies"
+
+
+class TestHeadsMajorBlock:
+    @pytest.mark.parametrize("h, t, n, dh", [(2, 3, 4, 3), (4, 64, 8, 4)],
+                             ids=["tiny", "desk"])
+    def test_attention_and_conv_match_frame_by_frame_oracle(self, h, t, n, dh):
+        rng = np.random.default_rng(28)
+        x = rng.standard_normal((t, n, h * dh))
+        w1, w2, w3 = (rng.uniform(-1, 1, (h, dh, dh)) / np.sqrt(dh) for _ in range(3))
+        p = rng.random((n, n))
+        heads = split_heads(Tensor(x), h)
+        a = attention_adjacency(heads, Tensor(w1), Tensor(w2), p)
+        out = merge_heads(graph_conv(heads, a, Tensor(w3)))
+        npt.assert_allclose(out.data, brute_force_attention_block(x, w1, w2, w3, p),
+                            rtol=0, atol=1e-12)
+
+    def test_per_head_weight_gradient_builds_no_per_frame_products(self):
+        # paper width: 4 heads over 64 frames x 8 nodes, Dh 64.  The weight
+        # gradient is one [Dh, T*N] @ [T*N, Dh] GEMM per head; per-frame
+        # products would hold a [T, H, Dh, Dh] stack, 64 times the weight.
+        rng = np.random.default_rng(29)
+        heads = split_heads(Tensor(rng.standard_normal((64, 8, 256))), 4)
+        w = Tensor(rng.standard_normal((4, 64, 64)), requires_grad=True)
+        out = per_head(heads, w)
+        g = rng.standard_normal(out.shape)
+        tracemalloc.start()
+        try:
+            out.backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * w.data.nbytes, f"peak {peak / w.data.nbytes:.1f} weights"
 
 
 class TestGraphConv:
@@ -207,9 +240,9 @@ class TestGraphConv:
     def test_gradcheck_through_attention_and_conv(self):
         rng = np.random.default_rng(8)
         n, dh = 3, 4
-        x = rng.standard_normal((2, 1, n, dh))
+        x = rng.standard_normal((2, 2, n, dh))
         p = rng.random((n, n))
-        weights = rng.standard_normal((2, 1, n, dh))
+        weights = rng.standard_normal((2, 2, n, dh))
 
         def f(t):
             a = attention_adjacency(t["x"], t["w1"], t["w2"], p)
@@ -217,9 +250,9 @@ class TestGraphConv:
 
         result = grad_check(f, {
             "x": x,
-            "w1": rng.standard_normal((1, dh, dh)),
-            "w2": rng.standard_normal((1, dh, dh)),
-            "w3": rng.standard_normal((1, dh, dh)),
+            "w1": rng.standard_normal((2, dh, dh)),
+            "w2": rng.standard_normal((2, dh, dh)),
+            "w3": rng.standard_normal((2, dh, dh)),
         })
         assert result.max_rel_err <= 1e-5, result.per_input
 

@@ -370,8 +370,11 @@ MATMUL_SHAPES = {
     "plain": ((4, 3), (3, 5)),
     # the extractor's [N, T, D0] output enters the bottleneck as a [T, N, D0] view
     "transposed_frames_nodes_by_weight": ((3, 4, 5), (5, 2)),
+    # attention's per-head weights: the [H, T*N, Dh] view of split heads
+    "heads_major_per_head_weight": ((12, 2, 3), (2, 3, 2)),
 }
-LEFT_AXES = {"transposed_frames_nodes_by_weight": (1, 0, 2)}
+LEFT_AXES = {"transposed_frames_nodes_by_weight": (1, 0, 2),
+             "heads_major_per_head_weight": (1, 0, 2)}
 
 
 def _left(a, name):

@@ -294,6 +294,7 @@ class TestCheckpoints:
         lambda h: h["tensors"][0].update(dtype="object"),
         lambda h: h["tensors"][0].update(dtype="complex128"),
         lambda h: h["tensors"][0].update(dtype=None),
+        lambda h: h["tensors"][0].update(dtype=",loat64"),  # np.dtype raises SyntaxError
         lambda h: h["tensors"][0].update(shape=[1.5]),
         lambda h: h["tensors"][0].update(shape=[-1]),
         lambda h: h["tensors"][0].update(shape="8"),
@@ -307,8 +308,8 @@ class TestCheckpoints:
             "config-key-missing", "tensor-without-name", "tensor-without-kind",
             "tensor-without-shape", "tensor-without-dtype", "adam-key-missing",
             "scheduler-missing", "dtype-object", "dtype-complex", "dtype-null",
-            "shape-fractional", "shape-negative", "shape-string", "beta1-string",
-            "step-count-string", "step-count-fractional", "best-value-null",
+            "dtype-unparsable", "shape-fractional", "shape-negative", "shape-string",
+            "beta1-string", "step-count-string", "step-count-fractional", "best-value-null",
             "bad-epochs-bool", "epoch-string"])
     def test_malformed_header_fields_rejected(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
