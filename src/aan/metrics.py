@@ -1,9 +1,11 @@
 """Per-frame ranking metrics and action-conditional variants.
 
-Average precision ranks all valid frames of a class by score (stable sort,
-ties kept in original order) and averages precision at each positive's rank.
+Average precision ranks all valid frames of a class by descending score,
+ties kept in frame order, and averages precision at each positive's rank.
 Classes without positives are skipped, not scored zero, so corpora of
-different sparsity stay comparable.
+different sparsity stay comparable.  Ranking takes numpy's default (not
+stable) argsort; only the frames of a run of tied scores are sorted again,
+by frame, so every ranking equals that of a stable sort.
 
 The action-conditional metrics restrict evaluation of class i to frames
 lying within tau frames of some ground-truth occurrence of class j, for
@@ -11,15 +13,15 @@ every ordered pair (i, j) including i == j; pairs whose restricted frame
 set contains no positive of class i are skipped and counted.
 
 They are computed in C vectorised steps over the valid frames of the whole
-run, stacked once in video-then-frame order (F frames, C classes).  One
-clipped cumulative-sum window per video marks, for every class j at once,
-the frames within tau of j; stacked, these form W [F, C].  Step j takes the
-n_j frames W[:, j] selects, counts every class's positives among them in one
-call, and scores the k classes i that have any as the rows of one [k, n_j]
-matrix: tp, predicted and positive counts are row sums, and AP comes from the
-same row-wise ranking that per-frame AP uses, one row per class.  Python
-work grows with C; arithmetic with C * sum_j n_j, plus k * n_j log n_j for
-the sorts.
+run, stacked once class-major in video-then-frame order (C classes, F
+frames), so each class is one contiguous row.  One clipped cumulative-sum
+window per video marks, for every class j at once, the frames within tau of
+j; stacked, these form W [C, F].  Step j takes the n_j frames W[j] selects,
+counts every class's positives among them in one call, and scores the k
+classes i that have any as the rows of one [k, n_j] matrix: tp, predicted
+and positive counts are row sums, and AP comes from the same row-wise
+ranking that per-frame AP uses, one row per class.  Python work grows with
+C; arithmetic with C * sum_j n_j, plus k * n_j log n_j for the sorts.
 """
 
 from __future__ import annotations
@@ -73,15 +75,27 @@ class EvalRun:
         return self.videos[0].scores.shape[1]
 
     def stacked(self) -> tuple:
-        """All valid frames concatenated across videos: (scores [F, C] float64,
-        labels [F, C] bool; exact, since every label is 0 or 1)."""
-        scores = np.concatenate([v.scores[v.mask] for v in self.videos], axis=0)
-        labels = np.concatenate([v.labels[v.mask] > 0.5 for v in self.videos], axis=0)
+        """All valid frames of the run, class-major in video-then-frame order:
+        (scores [C, F] float64, labels [C, F] bool; exact, since every label
+        is 0 or 1).  Each class is one contiguous row."""
+        scores = _class_major([v.scores for v in self.videos], np.float64)
+        # thresholded per video: one [C, F] float array at a time, not two
+        labels = _class_major([v.labels > 0.5 for v in self.videos], bool)
+        mask = np.concatenate([v.mask for v in self.videos])
+        if not mask.all():
+            scores, labels = scores.compress(mask, axis=1), labels.compress(mask, axis=1)
         return scores, labels
 
 
+def _class_major(blocks: list, dtype) -> np.ndarray:
+    """[T_v, C] blocks concatenated along frames into one C-contiguous [C, F]
+    array (concatenating the transposes alone would give F order)."""
+    out = np.empty((blocks[0].shape[1], sum(len(b) for b in blocks)), dtype)
+    return np.concatenate([b.T for b in blocks], axis=1, out=out)
+
+
 def average_precision(scores, labels) -> float:
-    """AP of one ranking; stable descending sort, ties in original order."""
+    """AP of one ranking; descending scores, ties in original order."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
@@ -91,26 +105,60 @@ def average_precision(scores, labels) -> float:
         raise ValueError("labels must be 0 or 1")
     if not np.count_nonzero(hits):
         raise NoPositivesError("average precision undefined without positive labels")
-    return float(precision_at_positives(scores, hits).mean())
+    if not np.isfinite(scores).all():
+        raise ValueError("non-finite scores")
+    return float(_precision_at_positives(scores, hits).mean())
 
 
-def precision_at_positives(scores, labels) -> np.ndarray:
-    """Precision at each positive's rank, in rank order (for --curves); labels 0/1."""
-    hits, precision = _ranked_precision(np.asarray(scores, dtype=np.float64)[None],
-                                        np.asarray(labels, dtype=bool)[None])
+def _precision_at_positives(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Precision at each positive's rank, in rank order, of one row of finite
+    scores and bool labels (per-frame AP and --curves)."""
+    hits, precision = _ranked_precision(scores[None], labels[None])
     return precision[hits]
 
 
 def _ranked_precision(scores: np.ndarray, labels: np.ndarray) -> tuple:
-    """Rank each row of scores [k, n] by a stable descending sort: (hits [k, n]
-    bool in rank order, precision [k, n] float64 at every rank)."""
+    """Rank each row of finite scores [k, n] in descending order, ties in
+    column order: (hits [k, n] bool in rank order, precision [k, n] float64
+    at every rank).
+
+    The default argsort ranks every row; without a tie its descending order
+    is unique.  A run of equal scores is contiguous in that order but its
+    frames are in no set order, so only the frames in such runs are sorted
+    again, by (run, column), which gives the order a stable sort gives.  NaN
+    would escape the tie check, so callers pass finite scores.
+    """
     k, n = scores.shape
-    order = np.argsort(-scores, axis=1, kind="stable")
-    order += np.arange(k)[:, None] * n      # one flat gather; take_along_axis costs ~10 us a call
+    order = np.argsort(-scores, axis=1)
+    order += np.arange(0, k * n, n)[:, None]   # one flat gather; take_along_axis costs ~10 us a call
+    _order_ties_by_column(order, scores)
     hits = labels.ravel()[order]
     precision = np.cumsum(hits, axis=1, dtype=np.float64)
     precision /= np.arange(1, n + 1)
     return hits, precision
+
+
+def _order_ties_by_column(order: np.ndarray, scores: np.ndarray) -> None:
+    """Put each run of tied ranks of `order` [k, n] (C-order flat indices
+    into `scores`, each row sorted descending) in ascending frame order, in
+    place.  Runs stay within a row, so the flat index sorts as the
+    column does; g * order.size + index is unique per frame and sorts by
+    run g, then by frame."""
+    ranked = scores.ravel()[order]
+    same = ranked[:, 1:] == ranked[:, :-1]      # [k, n - 1]: rank r + 1 ties rank r
+    del ranked
+    if not same.any():
+        return
+    tied = np.zeros(order.shape, bool)
+    tied[:, 1:] = same
+    tied[:, :-1] |= same
+    first = tied.copy()
+    first[:, 1:] &= ~same                       # a tied rank that does not tie the one before
+    at = np.flatnonzero(tied)
+    g = np.cumsum(first.ravel()[at])            # run of each tied rank, ascending
+    g *= order.size
+    key = np.sort(order.ravel()[at] + g)
+    np.put(order, at, key - g)
 
 
 @dataclass
@@ -144,13 +192,13 @@ def per_frame_map(run: EvalRun) -> PerFrameMap:
 
 def _per_frame_map(scores: np.ndarray, labels: np.ndarray) -> PerFrameMap:
     per_class, skipped, values = [], [], []
-    for c in range(scores.shape[1]):
-        positives = int(labels[:, c].sum())
+    for c, (row, hits) in enumerate(zip(scores, labels)):
+        positives = int(np.count_nonzero(hits))
         if positives == 0:
             per_class.append(ClassAP(c, 0, None))
             skipped.append(c)
             continue
-        ap = average_precision(scores[:, c], labels[:, c])
+        ap = float(_precision_at_positives(row, hits).mean())
         per_class.append(ClassAP(c, positives, ap))
         values.append(ap)
     mean = float(np.mean(values)) if values else None
@@ -219,24 +267,25 @@ def _conditional_metrics(run: EvalRun, scores: np.ndarray, labels: np.ndarray, t
 
     # windows[j, f]: stacked frame f is within tau of a valid frame of the
     # same video where class j is active
-    windows = np.concatenate(
+    windows = _class_major(
         [conditioning_window((v.labels > 0.5) & v.mask[:, None], tau)[v.mask] for v in run.videos],
-        axis=0).T.copy()
+        bool)
 
     precisions, recalls, f1s, aps = [], [], [], []
     skipped = 0
     for j in range(c_count):
         # frames selected by j, in video-then-frame order, so ties rank as in a
         # single-pair average_precision over the same frames
-        rows = np.flatnonzero(windows[j])
-        positives = np.count_nonzero(labels[rows], axis=0)
+        frames = np.flatnonzero(windows[j])
+        selected = labels.take(frames, axis=1)                      # [C, n_j]
+        positives = np.count_nonzero(selected, axis=1)
         keep = np.flatnonzero(positives)
         skipped += c_count - keep.size
         if keep.size == 0:
             continue
         positives = positives[keep].astype(np.float64)
-        s = np.ascontiguousarray(scores[np.ix_(rows, keep)].T)     # [k, n_j]
-        y = np.ascontiguousarray(labels[np.ix_(rows, keep)].T)
+        s = scores[np.ix_(keep, frames)]                           # [k, n_j]
+        y = selected[keep]
         predicted = s >= threshold
         tp = np.count_nonzero(predicted & y, axis=1).astype(np.float64)
         called = np.count_nonzero(predicted, axis=1).astype(np.float64)
@@ -289,8 +338,8 @@ def evaluate_run(run: EvalRun, taus: list | None = None, threshold: float = 0.5,
         report.conditional.append(_conditional_metrics(run, scores, labels, tau, threshold))
     if curves:
         report.curves = {
-            str(c): precision_at_positives(scores[:, c], labels[:, c]).tolist()
-            for c in range(run.class_count) if labels[:, c].sum() > 0
+            str(c): _precision_at_positives(row, hits).tolist()
+            for c, (row, hits) in enumerate(zip(scores, labels)) if hits.any()
         }
     return report
 

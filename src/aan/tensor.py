@@ -285,12 +285,15 @@ def _result(data: np.ndarray, parents: tuple) -> Tensor:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function of an array, stable for large |x|."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Elementwise logistic function of an array, stable for large |x|:
+    1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, with e^-|x| <= 1.
+    Two arrays the size of x at most, so the eval peak does not grow."""
+    e = np.negative(x)
+    np.minimum(x, e, out=e)     # -|x|, but a NaN keeps its sign, as in e^x
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the module and acceptance tests.
 
 These deliberately avoid the library's vectorized code paths: plain Python
-loops over frames, pairs and ranks, so they can disagree with the
-implementation when the implementation is wrong.
+loops over frames, pairs and ranks, or (for the ranking) one stable sort of
+every row, so they can disagree with the implementation when the
+implementation is wrong.
 """
 
 import numpy as np
@@ -27,6 +28,22 @@ def brute_force_ap(scores, labels):
             hits = sum(1 for j in range(n) if labels[j] == 1 and ranks[j] <= ranks[i])
             precisions.append(hits / ranks[i])
     return sum(precisions) / len(precisions)
+
+
+def stable_ranked_precision(scores, labels):
+    """Row-wise ranking by one stable descending argsort, ties in column order.
+
+    scores, labels [k, n]; returns (hits [k, n] bool in rank order, precision
+    [k, n] float64 at every rank): the reference for the metrics' unstable
+    sort followed by a sort of the tied frames alone.
+    """
+    k, n = scores.shape
+    order = np.argsort(-scores, axis=1, kind="stable")
+    order += np.arange(k)[:, None] * n
+    hits = labels.ravel()[order]
+    precision = np.cumsum(hits, axis=1, dtype=np.float64)
+    precision /= np.arange(1, n + 1)
+    return hits, precision
 
 
 def brute_force_prior(label_sets, attribute_map, n_attributes, frame_counts):

@@ -2,8 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oracles import brute_force_ap, enumerate_conditional
+from oracles import brute_force_ap, enumerate_conditional, stable_ranked_precision
 
+from aan import metrics
 from aan.metrics import (
     EvalRun,
     NoPositivesError,
@@ -31,6 +32,12 @@ class TestAveragePrecision:
     def test_no_positives_is_an_error(self):
         with pytest.raises(NoPositivesError):
             average_precision([0.5, 0.5], [0, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # a NaN never compares equal, so it would escape the ranking's tie check
+        with pytest.raises(ValueError, match="non-finite"):
+            average_precision([0.5, bad, 0.5], [1, 0, 1])
 
     def test_matches_brute_force_on_100_random_instances(self):
         for seed in range(100):
@@ -317,7 +324,20 @@ class TestInputs:
         run = run_from([rng.random((4, 3)), rng.random((7, 3))], labels, masks)
         scores, stacked = run.stacked()
         assert stacked.dtype == bool and scores.dtype == np.float64
-        npt.assert_array_equal(stacked, np.concatenate([y[m] for y, m in zip(labels, masks)]))
+        npt.assert_array_equal(stacked, np.concatenate([y[m] for y, m in zip(labels, masks)]).T)
+
+    def test_stack_without_masked_frames_is_class_major(self):
+        rng = np.random.default_rng(31)
+        scores = [rng.random((t, 3)) for t in (4, 7)]
+        labels = [rng.integers(0, 2, (t, 3)).astype(float) for t in (4, 7)]
+        stacked_scores, stacked = run_from(scores, labels).stacked()
+        npt.assert_array_equal(stacked_scores, np.concatenate(scores).T)
+        npt.assert_array_equal(stacked, np.concatenate(labels).T > 0.5)
+        # one contiguous row per class, also after dropping masked frames
+        masked_scores, masked = run_from(scores, labels, [[True, False, True, True],
+                                                          np.ones(7, bool)]).stacked()
+        for a in (stacked_scores, stacked, masked_scores, masked):
+            assert a.flags.c_contiguous
 
     @pytest.mark.parametrize("score", [per_frame_map,
                                        lambda run: action_conditional_metrics(run, 0)],
@@ -325,3 +345,114 @@ class TestInputs:
     def test_run_without_videos_rejected(self, score):
         with pytest.raises(ValueError, match="no videos"):
             score(EvalRun([]))
+
+
+def tied_run(seed):
+    """A seeded run whose scores are rounded to one decimal, so nearly every
+    class ties across hundreds of frames, with about a fifth of frames masked."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 120, 8)
+    scores = [np.round(rng.random((t, 5)), 1) for t in lengths]
+    scores[0][:, 0] = -0.0          # signed zeros tie with 0.0
+    labels = [(rng.random((t, 5)) < 0.3).astype(float) for t in lengths]
+    for y in labels:
+        y[:, 4] = 0.0               # a class without positives
+    masks = [rng.random(t) > 0.2 for t in lengths]
+    return run_from(scores, labels, masks)
+
+
+def stable_column_precision(run, c):
+    """Precision at each positive of class c, ranked by the stable oracle over
+    the run's valid frames in video-then-frame order; None without positives."""
+    s = np.concatenate([v.scores[v.mask, c] for v in run.videos])
+    y = np.concatenate([v.labels[v.mask, c] for v in run.videos]) > 0.5
+    if not y.any():
+        return None
+    hits, precision = stable_ranked_precision(s[None], y[None])
+    return precision[hits]
+
+
+class TestRankingAgainstStableSort:
+    """Ranking sorts unstably and then sorts only the tied frames by column;
+    every output must equal, bit for bit, what one stable sort of every row
+    gives."""
+
+    @staticmethod
+    def assert_same_ranking(scores, labels):
+        got_hits, got = metrics._ranked_precision(scores, labels)
+        want_hits, want = stable_ranked_precision(scores, labels)
+        npt.assert_array_equal(got_hits, want_hits)
+        assert got.tobytes() == want.tobytes()
+
+    def test_block_of_tied_and_untied_rows(self):
+        rng = np.random.default_rng(50)
+        n = 300
+        rows = [
+            rng.random(n),                              # no ties
+            np.round(rng.random(n), 1),                 # ties everywhere
+            np.where(rng.random(n) < 0.5, 0.0, -0.0),   # signed zeros only
+            np.full(n, 0.25),                           # one value
+            np.r_[rng.random(n - 2), 0.5, 0.5],         # one tie at the end
+            np.round(rng.random(n), 2),
+        ]
+        scores = np.stack(rows)
+        labels = rng.random(scores.shape) < 0.3
+        self.assert_same_ranking(scores, labels)
+        for k in range(len(rows)):                       # k = 1
+            self.assert_same_ranking(scores[k:k + 1], labels[k:k + 1])
+
+    def test_tied_frames_take_the_stable_order(self):
+        rng = np.random.default_rng(51)
+        n = 200
+        scores = np.stack([
+            np.full(n, 0.5), np.full(n, 0.5),           # equal rows side by side
+            np.round(rng.random(n), 1),
+            rng.random(n),
+            np.where(rng.random(n) < 0.5, 0.0, -0.0),
+            np.r_[0.75, rng.random(n - 2), 0.75],       # a tie of the first and last frame
+        ])
+        order = np.argsort(-scores, axis=1)
+        order += np.arange(0, scores.size, n)[:, None]
+        metrics._order_ties_by_column(order, scores)
+        want = np.argsort(-scores, axis=1, kind="stable") + np.arange(0, scores.size, n)[:, None]
+        npt.assert_array_equal(order, want)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_single_frame_rows(self, k):
+        scores = np.array([[0.3], [-0.0], [0.0], [1.0]])[:k]
+        labels = np.array([[True], [False], [True], [True]])[:k]
+        self.assert_same_ranking(scores, labels)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_per_frame_map(self, seed):
+        run = tied_run(seed)
+        got = per_frame_map(run)
+        values = []
+        for c, entry in enumerate(got.per_class):
+            precision = stable_column_precision(run, c)
+            want = None if precision is None else float(precision.mean())
+            assert entry.ap == want
+            if want is not None:
+                values.append(want)
+        assert got.mean_ap == float(np.mean(values))
+        assert got.skipped_classes == [4]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_conditional_metrics(self, seed, monkeypatch):
+        run = tied_run(seed)
+        taus = [0, 2, 20]
+        got = [action_conditional_metrics(run, tau).to_dict() for tau in taus]
+        monkeypatch.setattr(metrics, "_ranked_precision", stable_ranked_precision)
+        want = [action_conditional_metrics(run, tau).to_dict() for tau in taus]
+        assert got == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_curves(self, seed):
+        run = tied_run(seed)
+        curves = evaluate_run(run, curves=True).curves
+        want = {}
+        for c in range(run.class_count):
+            precision = stable_column_precision(run, c)
+            if precision is not None:
+                want[str(c)] = precision.tolist()
+        assert curves == want

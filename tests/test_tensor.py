@@ -362,6 +362,30 @@ class TestGraphMechanics:
         assert np.isfinite(tn.sigmoid(x.data)).all()
 
 
+def masked_sigmoid(x):
+    """The two-branch logistic written with boolean-mask gathers."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bitwise_equal_to_the_masked_formula(self, dtype):
+        edges = np.array([0.0, -0.0, 800.0, -800.0, np.nan, -np.nan, np.inf, -np.inf,
+                          1e-300, -1e-300, 36.7, -36.7, 745.0, -745.0, 104.0, -104.0])
+        rng = np.random.default_rng(41)
+        for x in (edges, rng.standard_normal((40, 157)) * 30, rng.standard_normal((300, 51))):
+            x = x.astype(dtype)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = tn.sigmoid(x), masked_sigmoid(x)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 MATMUL_SHAPES = {
     "frames_nodes_by_weight": ((4, 3, 5), (5, 2)),        # bottleneck, temporal mix
     "heads_by_per_head_weight": ((3, 2, 4, 3), (2, 3, 2)),  # attention w1, w2, w3
