@@ -41,7 +41,7 @@ def init_extractor(n_attributes: int, dim: int, rng: np.random.Generator,
                    use_batch_norm: bool = True, dtype=np.float64) -> AttributeExtractorParams:
     bound = 1.0 / np.sqrt(dim)
     weight = Tensor(
-        rng.uniform(-bound, bound, (n_attributes, dim, dim)).astype(dtype),
+        rng.uniform(-bound, bound, (n_attributes, dim, dim)).astype(dtype, copy=False),
         requires_grad=True,
     )
     bn = make_batch_norm_state(n_attributes * dim, dtype=dtype) if use_batch_norm else None

@@ -202,7 +202,7 @@ def init_model_state(config: ModelConfig, prior: CoOccurrencePrior, seed: int,
 
     def fan_in(shape, fan):
         bound = 1.0 / np.sqrt(fan)
-        return Tensor(rng.uniform(-bound, bound, shape).astype(dt), requires_grad=True)
+        return Tensor(rng.uniform(-bound, bound, shape).astype(dt, copy=False), requires_grad=True)
 
     def zeros(shape):
         return Tensor(np.zeros(shape, dtype=dt), requires_grad=True)

@@ -112,15 +112,16 @@ def average_precision(scores, labels) -> float:
 
 def _precision_at_positives(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Precision at each positive's rank, in rank order, of one row of finite
-    scores and bool labels (per-frame AP and --curves)."""
-    hits, precision = _ranked_precision(scores[None], labels[None])
-    return precision[hits]
+    scores and bool labels (per-frame AP and --curves).  The p-th positive
+    has p positives at or above its rank, so no cumulative sum is needed;
+    both counts are exact, so the values equal _ranked_precision's bitwise."""
+    at = np.flatnonzero(_ranked_hits(scores[None], labels[None]))
+    return np.arange(1, at.size + 1) / (at + 1)
 
 
-def _ranked_precision(scores: np.ndarray, labels: np.ndarray) -> tuple:
+def _ranked_hits(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Rank each row of finite scores [k, n] in descending order, ties in
-    column order: (hits [k, n] bool in rank order, precision [k, n] float64
-    at every rank).
+    column order: labels [k, n] in rank order.
 
     The default argsort ranks every row; without a tie its descending order
     is unique.  A run of equal scores is contiguous in that order but its
@@ -132,9 +133,15 @@ def _ranked_precision(scores: np.ndarray, labels: np.ndarray) -> tuple:
     order = np.argsort(-scores, axis=1)
     order += np.arange(0, k * n, n)[:, None]   # one flat gather; take_along_axis costs ~10 us a call
     _order_ties_by_column(order, scores)
-    hits = labels.ravel()[order]
+    return labels.ravel()[order]
+
+
+def _ranked_precision(scores: np.ndarray, labels: np.ndarray) -> tuple:
+    """(hits [k, n] bool in rank order, precision [k, n] float64 at every
+    rank) of each row of finite scores [k, n], ranked by _ranked_hits."""
+    hits = _ranked_hits(scores, labels)
     precision = np.cumsum(hits, axis=1, dtype=np.float64)
-    precision /= np.arange(1, n + 1)
+    precision /= np.arange(1, scores.shape[1] + 1)
     return hits, precision
 
 

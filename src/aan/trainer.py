@@ -242,7 +242,16 @@ def _video_loss(result, state: ModelState, anchors, config: TrainConfig, mode: s
 def run_epoch(state: ModelState, corpus: LoadedCorpus, config: TrainConfig,
               mode: str) -> EpochReport:
     """One pass over a split: optimize on shuffled, cropped train batches; on
-    val, score each whole video.  Both forward each video alone, unpadded."""
+    val, score each whole video.  Both forward each video alone, unpadded.
+
+    A train batch runs one backward per video, of its loss times 1/B, as soon
+    as that loss is computed; leaf gradients accumulate across the B graphs
+    in batch order, which adds the same terms in the same order as one
+    backward of the batch's mean loss, so every update is bitwise the same.
+    At most two videos' graphs are alive at once (the previous one is freed
+    when the next is built), whatever the batch size.  A non-finite loss
+    raises before the batch's update, so no parameter or moment changes.
+    """
     if mode not in ("train", "val"):
         raise ValueError(f"unknown epoch mode {mode!r}")
     videos = corpus.train if mode == "train" else corpus.val
@@ -256,26 +265,23 @@ def run_epoch(state: ModelState, corpus: LoadedCorpus, config: TrainConfig,
         active = state.active_params()
         for batch in make_batches(videos, config.batch_size, max_frames=config.max_frames,
                                   seed=config.seed, epoch=epoch):
-            breakdowns = []
-            for v in batch:
-                result = forward(v.features, None, state, "train")
-                breakdowns.append(_video_loss(result, state, corpus.anchors, config, "train",
-                                              epoch, v))
-            batch_loss = breakdowns[0].total
-            for b in breakdowns[1:]:
-                batch_loss = batch_loss + b.total
-            batch_loss = batch_loss * (1.0 / len(breakdowns))
-            if not np.isfinite(batch_loss.data):
-                raise NonFiniteLossError(
-                    f"non-finite loss {batch_loss.data} in epoch {epoch} on videos "
-                    f"{[v.video_id for v in batch]}"
-                )
             zero_grads(active)
-            batch_loss.backward()
+            for v in batch:
+                # rebinding frees the previous video's graph only once this one is
+                # built; a `del` here would let the allocator trim and re-fault
+                # the heap top on every video
+                result = forward(v.features, None, state, "train")
+                b = _video_loss(result, state, corpus.anchors, config, "train", epoch, v)
+                if not np.isfinite(b.total.data):
+                    raise NonFiniteLossError(
+                        f"non-finite loss {b.total.data} of video {v.video_id!r} in epoch "
+                        f"{epoch} on videos {[u.video_id for u in batch]}"
+                    )
+                (b.total * (1.0 / len(batch))).backward()
+                losses.append((b.total.item(), b.action, b.attribute))
             if config.grad_clip:
                 clip_global_norm(active, config.grad_clip)
             adam_step(active, state.adam)
-            losses += [(b.total.item(), b.action, b.attribute) for b in breakdowns]
     else:
         scored = []
         with tn.no_grad():

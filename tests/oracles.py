@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's vectorized code paths: plain Python
 loops over frames, pairs and ranks, or (for the ranking) one stable sort of
-every row, so they can disagree with the implementation when the
-implementation is wrong.
+every row, or (for a batch's gradients) one backward of the summed loss, so
+they can disagree with the implementation when the implementation is wrong.
 """
 
 import numpy as np
@@ -44,6 +44,20 @@ def stable_ranked_precision(scores, labels):
     precision = np.cumsum(hits, axis=1, dtype=np.float64)
     precision /= np.arange(1, n + 1)
     return hits, precision
+
+
+def summed_batch_gradients(params, losses):
+    """Leaf gradients of one batch by the summed-loss formula: the batch's
+    loss tensors added in order, times 1/B, then one backward through all B
+    graphs at once.  params maps names to leaf tensors; returns name -> a
+    copy of its gradient (None where no gradient reached it)."""
+    for p in params.values():
+        p.grad = None
+    total = losses[0]
+    for loss in losses[1:]:
+        total = total + loss
+    (total * (1.0 / len(losses))).backward()
+    return {name: None if p.grad is None else p.grad.copy() for name, p in params.items()}
 
 
 def brute_force_prior(label_sets, attribute_map, n_attributes, frame_counts):

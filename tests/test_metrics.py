@@ -417,6 +417,18 @@ class TestRankingAgainstStableSort:
         want = np.argsort(-scores, axis=1, kind="stable") + np.arange(0, scores.size, n)[:, None]
         npt.assert_array_equal(order, want)
 
+    def test_precision_at_positives_matches_the_cumulative_sum(self):
+        # counts of positives replace the cumsum over every rank: bitwise equal
+        rng = np.random.default_rng(52)
+        for _ in range(300):
+            n = int(rng.integers(1, 400))
+            row = np.round(rng.random(n), int(rng.integers(0, 3)))
+            labels = rng.random(n) < rng.random()
+            labels[rng.integers(n)] = True
+            hits, precision = stable_ranked_precision(row[None], labels[None])
+            got = metrics._precision_at_positives(row, labels)
+            assert got.tobytes() == precision[hits].tobytes()
+
     @pytest.mark.parametrize("k", [1, 4])
     def test_single_frame_rows(self, k):
         scores = np.array([[0.3], [-0.0], [0.0], [1.0]])[:k]

@@ -1,15 +1,19 @@
 import dataclasses
+import gc
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from oracles import summed_batch_gradients
+
 from aan import tensor as tn
-from aan.data import (LoadedVideo, SynthSpec, generate_synthetic_corpus, read_manifest,
-                      write_corpus)
+from aan.data import (LoadedVideo, SynthSpec, generate_synthetic_corpus, make_batches,
+                      read_manifest, write_corpus)
 from aan import trainer as trainer_module
 from aan.graph import clone_state, forward, init_model_state, prior_from_dense
 from aan.trainer import (
@@ -26,7 +30,7 @@ from aan.trainer import (
     state_hash,
     train,
 )
-from aan.optim import AdamState
+from aan.optim import AdamState, adam_step
 from aan.graph import SchedulerState
 
 
@@ -233,6 +237,170 @@ class TestRunEpoch:
         first = result.history[0]["train"]["mean_total"]
         last = result.history[-1]["train"]["mean_total"]
         assert last < 0.5 * first
+
+
+def record_updates(monkeypatch) -> list:
+    """Patch the trainer's adam_step to record a copy of every leaf gradient
+    it is about to apply, one dict per batch."""
+    seen = []
+    real_step = trainer_module.adam_step
+
+    def recording_step(params, adam):
+        seen.append({name: None if p.grad is None else p.grad.copy()
+                     for name, p in params.items()})
+        real_step(params, adam)
+
+    monkeypatch.setattr(trainer_module, "adam_step", recording_step)
+    return seen
+
+
+def summed_loss_epoch(state, corpus, config) -> list:
+    """One train epoch whose batch gradients come from the summed-loss oracle,
+    over the same batches, crops and prompts as run_epoch."""
+    active = state.active_params()
+    updates = []
+    for batch in make_batches(corpus.train, config.batch_size, max_frames=config.max_frames,
+                              seed=config.seed, epoch=state.epoch):
+        losses = [trainer_module._video_loss(forward(v.features, None, state, "train"), state,
+                                             corpus.anchors, config, "train", state.epoch, v).total
+                  for v in batch]
+        updates.append(summed_batch_gradients(active, losses))
+        adam_step(active, state.adam)
+    return updates
+
+
+def assert_same_bytes(got: dict, want: dict, what: str) -> None:
+    assert got.keys() == want.keys(), what
+    for name in want:
+        if want[name] is None:
+            assert got[name] is None, f"{what} {name}"
+        else:
+            assert got[name].dtype == want[name].dtype, f"{what} {name}"
+            assert got[name].tobytes() == want[name].tobytes(), f"{what} {name}"
+
+
+def graph_corpus(videos: int) -> LoadedCorpus:
+    """Desk-width train videos of 64 frames or more, for memory measurements."""
+    corpus = generate_synthetic_corpus(SynthSpec(video_count=40, max_frames=96, seed=3))
+    train_vids = []
+    for fs, ls in zip(corpus.features, corpus.labels):
+        if fs.frame_count >= 64 and len(train_vids) < videos:
+            train_vids.append(LoadedVideo(fs.video_id, fs.features.astype(np.float64),
+                                          ls.densify(fs.frame_count)))
+    assert len(train_vids) == videos
+    return LoadedCorpus(train=train_vids, val=[], anchors=corpus.anchors,
+                        attribute_map=corpus.attribute_map)
+
+
+def traced(fn) -> tuple:
+    """(fn(), bytes it left allocated, its peak bytes), both traced above
+    what was held when it started."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+        return result, held - base, peak - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestPerVideoBackward:
+    """run_epoch back-propagates each video alone and accumulates leaf
+    gradients; every update must equal, bit for bit, the summed-loss
+    formula's, while memory holds at most two videos' graphs."""
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 8])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("wiring", ["full", "extractor-only", "linear"])
+    def test_updates_match_the_summed_loss(self, monkeypatch, wiring, dtype, batch_size):
+        corpus = memory_corpus()
+        if dtype == "float32":
+            for v in corpus.train:
+                v.features = v.features.astype(np.float32)
+        # batches of 3 and 8 leave a ragged last batch
+        assert len(corpus.train) % 3 and len(corpus.train) % 8
+        config = desk_config(max_epochs=1, batch_size=batch_size, dtype=dtype,
+                             max_frames=16, **WIRINGS[wiring])
+        state = fresh_state(corpus, config)
+        # a second epoch starts from moments the first one left
+        run_epoch(state, corpus, config, "train")
+        state.epoch += 1
+        oracle = clone_state(state)
+
+        seen = record_updates(monkeypatch)
+        run_epoch(state, corpus, config, "train")
+        want = summed_loss_epoch(oracle, corpus, config)
+
+        assert len(seen) == len(want) == -(-len(corpus.train) // batch_size)
+        for i, (got_grads, want_grads) in enumerate(zip(seen, want)):
+            assert_same_bytes(got_grads, want_grads, f"batch {i} gradient")
+        assert_same_bytes({k: p.data for k, p in state.params.items()},
+                          {k: p.data for k, p in oracle.params.items()}, "parameter")
+        assert_same_bytes(state.adam.first_moment, oracle.adam.first_moment, "first moment")
+        assert_same_bytes(state.adam.second_moment, oracle.adam.second_moment, "second moment")
+        assert state.adam.step_count == oracle.adam.step_count
+
+    def test_peak_memory_does_not_grow_with_the_batch(self):
+        corpus = graph_corpus(8)
+        config = desk_config(max_epochs=1, max_frames=64)
+        dims = (corpus.train[0].features.shape[1], corpus.anchors.attribute_count,
+                corpus.train[0].labels.shape[1])
+        prior = prior_from_dense([v.labels for v in corpus.train], corpus.attribute_map, dims[1])
+        state = init_model_state(config.model_config(*dims), prior, seed=0,
+                                 learning_rate=config.learning_rate)
+
+        # one video's graph: what a 64-frame crop's loss holds until it is freed
+        crop = corpus.train[0]
+        crop = LoadedVideo(crop.video_id, crop.features[:64], crop.labels[:64])
+        probe = clone_state(state)
+        _, graph, _ = traced(lambda: trainer_module._video_loss(
+            forward(crop.features, None, probe, "train"), probe, corpus.anchors, config,
+            "train", 0, crop))
+
+        def epoch_peak(batch_size, videos):
+            sub = dataclasses.replace(corpus, train=corpus.train[:videos])
+            run_state = clone_state(state)
+            return traced(lambda: run_epoch(
+                run_state, sub, dataclasses.replace(config, batch_size=batch_size), "train"))[2]
+
+        one_batch_of_8 = epoch_peak(8, 8)
+        four_batches_of_2 = epoch_peak(2, 8)
+        one_batch_of_2 = epoch_peak(2, 2)
+        three_batches_of_2 = epoch_peak(2, 6)
+        mb = 2 ** 20
+        assert one_batch_of_8 < four_batches_of_2 + graph, \
+            f"batch 8 peaks at {one_batch_of_8 / mb:.1f} MB, batch 2 at " \
+            f"{four_batches_of_2 / mb:.1f} MB; one graph is {graph / mb:.1f} MB"
+        # the slack covers what grows with the epoch's video count (its crop
+        # views and loss tuples, about 0.5 kB a video), not a graph
+        assert three_batches_of_2 <= one_batch_of_2 + graph // 100, \
+            f"three batches peak at {three_batches_of_2 / mb:.2f} MB, one at " \
+            f"{one_batch_of_2 / mb:.2f} MB; one graph is {graph / mb:.2f} MB"
+
+    def test_non_finite_loss_mid_batch_changes_nothing(self):
+        from aan.trainer import NonFiniteLossError
+        corpus = memory_corpus()
+        config = desk_config(max_epochs=1, batch_size=4)
+        state = fresh_state(corpus, config)
+        run_epoch(state, corpus, config, "train")
+        state.epoch += 1
+        batch = make_batches(corpus.train, config.batch_size, max_frames=config.max_frames,
+                             seed=config.seed, epoch=state.epoch)[0]
+        assert len(batch) == 4
+        last = next(v for v in corpus.train if v.video_id == batch[-1].video_id)
+        last.features = np.full_like(last.features, np.nan)
+        before = clone_state(state)
+        with pytest.raises(NonFiniteLossError) as info:
+            run_epoch(state, corpus, config, "train")
+        for v in batch:
+            assert repr(v.video_id) in str(info.value)
+        assert_same_bytes({k: p.data for k, p in state.params.items()},
+                          {k: p.data for k, p in before.params.items()}, "parameter")
+        assert_same_bytes(state.adam.first_moment, before.adam.first_moment, "first moment")
+        assert_same_bytes(state.adam.second_moment, before.adam.second_moment, "second moment")
+        assert state.adam.step_count == before.adam.step_count
 
 
 class TestCheckpoints:
