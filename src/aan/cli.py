@@ -168,7 +168,7 @@ def _scores_run(videos, scores_dir) -> EvalRun:
         path = Path(scores_dir) / f"{v.video_id}.aans"
         if not path.exists():
             raise FileNotFoundError(f"missing score file: {path}")
-        scores = read_score_file(path).astype(np.float64)
+        scores = read_score_file(path)
         if scores.shape != v.labels.shape:
             raise CorpusError(
                 f"{path}: scores shape {scores.shape} does not match labels {v.labels.shape}"

@@ -139,8 +139,12 @@ class IntervalLabelSet:
     intervals: list               # of (class_id, start_frame, end_frame)
 
     def densify(self, frame_count: int) -> np.ndarray:
-        """Expand to a [T, C] 0/1 matrix; overlapping intervals merge."""
-        dense = np.zeros((frame_count, self.class_count), dtype=np.float64)
+        """Expand to a [T, C] bool matrix; overlapping intervals merge.
+
+        `bool @ bool` is a logical product (any, not a count), so a caller
+        that counts co-occurring frames casts to an integer type first.
+        """
+        dense = np.zeros((frame_count, self.class_count), dtype=bool)
         for class_id, start, end in self.intervals:
             if not 0 <= class_id < self.class_count:
                 raise BoundsError(
@@ -150,7 +154,7 @@ class IntervalLabelSet:
                 raise BoundsError(
                     f"video {self.video_id!r}: interval [{start}, {end}] outside [0, {frame_count})"
                 )
-            dense[start:end + 1, class_id] = 1.0
+            dense[start:end + 1, class_id] = True
         return dense
 
     def min_frame_count(self) -> int:
@@ -337,6 +341,25 @@ def _video_record(record, i: int, path: Path) -> tuple:
     return vid, features, split, intervals
 
 
+def _read_attribute_map(path: Path) -> AttributeMap:
+    """The class -> attribute map in attribute_map.json, its types checked."""
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CorpusError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    names, classes = doc.get("attribute_names"), doc.get("class_to_attributes")
+    if not isinstance(names, list):
+        raise CorpusError(f"{path}: attribute_names must be a list, got {names!r}")
+    # bools are ints to isinstance, so the types are compared exactly
+    if not (isinstance(classes, list) and all(
+            isinstance(attrs, list) and all(type(a) is int for a in attrs) for attrs in classes)):
+        raise CorpusError(f"{path}: class_to_attributes must be a list of lists of "
+                          f"integer attribute ids")
+    return AttributeMap(class_to_attributes=classes, attribute_count=len(names))
+
+
 def read_manifest(path) -> CorpusIndex:
     """Parse and validate a corpus manifest; all referenced files must exist."""
     path = Path(path)
@@ -353,6 +376,9 @@ def read_manifest(path) -> CorpusIndex:
     for key in ("dim", "class_count", "anchors", "attribute_map", "videos"):
         if key not in doc:
             raise CorpusError(f"{path}: missing manifest key {key!r}")
+    for key in ("anchors", "attribute_map"):
+        if not isinstance(doc[key], str):
+            raise CorpusError(f"{path}: {key} must be a path string, got {doc[key]!r}")
 
     anchors_path = root / doc["anchors"]
     map_path = root / doc["attribute_map"]
@@ -360,12 +386,7 @@ def read_manifest(path) -> CorpusIndex:
         if not p.exists():
             raise FileNotFoundError(f"manifest references missing file: {p}")
     anchors = read_anchor_file(anchors_path)
-
-    map_doc = json.loads(map_path.read_text())
-    attribute_map = AttributeMap(
-        class_to_attributes=[list(a) for a in map_doc["class_to_attributes"]],
-        attribute_count=len(map_doc["attribute_names"]),
-    )
+    attribute_map = _read_attribute_map(map_path)
 
     for key in ("dim", "class_count"):
         if type(doc[key]) is not int or doc[key] < 1:
@@ -704,11 +725,12 @@ def check_all_frames(mask, frame_count: int) -> None:
 
 @dataclass
 class LoadedVideo:
-    """A video, or a training crop of one: features and dense labels."""
+    """A video, or a training crop of one: float features and [T, C] bool
+    labels (a crop's are views of its source's)."""
 
     video_id: str
     features: np.ndarray          # [T, D0] float
-    labels: np.ndarray            # [T, C] 0/1
+    labels: np.ndarray            # [T, C] bool, as densify makes them
     frame_mask: InitVar[np.ndarray | None] = None   # see check_all_frames
 
     def __post_init__(self, frame_mask):
@@ -721,15 +743,18 @@ class LoadedVideo:
 
 
 def load_split(index: CorpusIndex, split: str, dtype=np.float64) -> list:
-    """Materialize every video of a split in manifest order."""
+    """Materialize every video of a split in manifest order.
+
+    `dtype` applies to the features only; labels stay the bool [T, C]
+    arrays densify makes, and the loss casts them per video.
+    """
     out = []
     for entry in index.split(split):
         fs = index.load_features(entry)
-        dense = entry.labels.densify(fs.frame_count)
         out.append(LoadedVideo(
             video_id=entry.video_id,
             features=fs.features.astype(dtype),
-            labels=dense.astype(dtype),
+            labels=entry.labels.densify(fs.frame_count),
         ))
     return out
 

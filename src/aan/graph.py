@@ -25,6 +25,8 @@ from .attributes import (
 from .data import AttributeMap, check_all_frames
 from .optim import AdamState
 from .tensor import (
+    BN_EPS,
+    BN_MOMENTUM,
     BatchNormState,
     ConfigurationError,
     DimensionError,
@@ -406,7 +408,7 @@ def total_loss(result: ForwardResult, dense_labels: np.ndarray,
 
 # Fields that earlier versions wrote into every config but nothing ever set
 # away from these values; a stored config may carry them at these values only.
-_RETIRED_FIELDS = {"mix_bias": True, "bn_eps": 1e-5, "bn_momentum": 0.1}
+_RETIRED_FIELDS = {"mix_bias": True, "bn_eps": BN_EPS, "bn_momentum": BN_MOMENTUM}
 
 
 def config_from_dict(doc: dict) -> ModelConfig:

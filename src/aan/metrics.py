@@ -37,16 +37,21 @@ class NoPositivesError(ValueError):
 
 @dataclass
 class VideoEval:
-    """One video's scores, ground truth and frame validity."""
+    """One video's scores, ground truth and frame validity.
+
+    Bool labels, as `load_split` gives them, are kept as they are, not
+    copied; labels of another dtype must be 0 or 1 and are converted to bool
+    once.
+    """
 
     video_id: str
     scores: np.ndarray            # [T, C] in [0, 1]
-    labels: np.ndarray            # [T, C] 0/1
+    labels: np.ndarray            # [T, C] bool
     mask: np.ndarray              # [T] bool
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.float64)
+        self.labels = np.asarray(self.labels)
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.scores.shape != self.labels.shape:
             raise ValueError(
@@ -58,8 +63,10 @@ class VideoEval:
             raise ValueError(f"{self.video_id}: non-finite scores")
         if self.scores.min(initial=0.0) < 0.0 or self.scores.max(initial=0.0) > 1.0:
             raise ValueError(f"{self.video_id}: scores outside [0, 1]")
-        if not ((self.labels == 0.0) | (self.labels == 1.0)).all():
-            raise ValueError(f"{self.video_id}: labels must be 0 or 1")
+        if self.labels.dtype != bool:
+            if not ((self.labels == 0) | (self.labels == 1)).all():
+                raise ValueError(f"{self.video_id}: labels must be 0 or 1")
+            self.labels = self.labels.astype(bool)
 
 
 @dataclass
@@ -76,11 +83,10 @@ class EvalRun:
 
     def stacked(self) -> tuple:
         """All valid frames of the run, class-major in video-then-frame order:
-        (scores [C, F] float64, labels [C, F] bool; exact, since every label
-        is 0 or 1).  Each class is one contiguous row."""
+        (scores [C, F] float64, labels [C, F] bool, stacked from each video's
+        bool labels as they are).  Each class is one contiguous row."""
         scores = _class_major([v.scores for v in self.videos], np.float64)
-        # thresholded per video: one [C, F] float array at a time, not two
-        labels = _class_major([v.labels > 0.5 for v in self.videos], bool)
+        labels = _class_major([v.labels for v in self.videos], bool)
         mask = np.concatenate([v.mask for v in self.videos])
         if not mask.all():
             scores, labels = scores.compress(mask, axis=1), labels.compress(mask, axis=1)
@@ -275,7 +281,7 @@ def _conditional_metrics(run: EvalRun, scores: np.ndarray, labels: np.ndarray, t
     # windows[j, f]: stacked frame f is within tau of a valid frame of the
     # same video where class j is active
     windows = _class_major(
-        [conditioning_window((v.labels > 0.5) & v.mask[:, None], tau)[v.mask] for v in run.videos],
+        [conditioning_window(v.labels & v.mask[:, None], tau)[v.mask] for v in run.videos],
         bool)
 
     precisions, recalls, f1s, aps = [], [], [], []

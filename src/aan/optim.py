@@ -30,8 +30,9 @@ class AdamState:
     def for_params(cls, params: dict, learning_rate: float, **kwargs) -> "AdamState":
         state = cls(learning_rate=learning_rate, **kwargs)
         for name, p in params.items():
-            state.first_moment[name] = np.zeros_like(p.data)
-            state.second_moment[name] = np.zeros_like(p.data)
+            # np.zeros, not zeros_like: fresh pages come zeroed, so nothing is written
+            state.first_moment[name] = np.zeros(p.data.shape, p.data.dtype)
+            state.second_moment[name] = np.zeros(p.data.shape, p.data.dtype)
         return state
 
 
@@ -45,9 +46,10 @@ def adam_step(params: dict, state: AdamState) -> None:
     """Apply one bias-corrected Adam update to every parameter in `params`.
 
     Parameters with no accumulated gradient are treated as zero-gradient.
-    Every gradient is checked before anything is written: on a non-finite
-    gradient (NonFiniteGradientError, naming the first such parameter) or a
-    misshapen one (ValueError), no parameter, moment or step count changes.
+    Every parameter is checked before anything is written: on a non-finite
+    gradient (NonFiniteGradientError, naming the first such parameter), a
+    misshapen one or a parameter without moments in `state` (ValueError), no
+    parameter, moment or step count changes.
 
     The update runs in place over chunks of ADAM_CHUNK elements through two
     scratch chunks, with the operations of
@@ -56,8 +58,11 @@ def adam_step(params: dict, state: AdamState) -> None:
     is bitwise that of the whole-array expressions.  A gradient is read in
     its parameter's dtype, in any memory order.
     """
-    grads = {}
+    updates = []
     for name, p in params.items():
+        m, v = state.first_moment.get(name), state.second_moment.get(name)
+        if m is None or v is None:
+            raise ValueError(f"no Adam moments for parameter {name!r}")
         g = p.grad
         if g is None:
             g = np.broadcast_to(np.zeros((), dtype=p.data.dtype), p.data.shape)
@@ -65,18 +70,16 @@ def adam_step(params: dict, state: AdamState) -> None:
             raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name!r}")
-        grads[name] = g
+        updates.append((p, m, v, g))
 
     state.step_count += 1
     t = state.step_count
     lr, b1, b2, eps = state.learning_rate, state.beta1, state.beta2, state.epsilon
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    for name, p in params.items():
-        m = state.first_moment.setdefault(name, np.zeros_like(p.data))
-        v = state.second_moment.setdefault(name, np.zeros_like(p.data))
+    for p, m, v, g in updates:
         work = np.empty((2, min(ADAM_CHUNK, p.data.size)), dtype=p.data.dtype)
-        it = np.nditer([p.data, m, v, grads[name]],
+        it = np.nditer([p.data, m, v, g],
                        flags=["external_loop", "buffered", "zerosize_ok"],
                        op_flags=[["readwrite"], ["readwrite"], ["readwrite"], ["readonly"]],
                        op_dtypes=[p.data.dtype] * 4, casting="same_kind",

@@ -331,6 +331,12 @@ def softmax_lastaxis(x: Tensor) -> Tensor:
     return out
 
 
+BN_EPS = 1e-5
+"""Added to the variance before batch norm takes its square root."""
+BN_MOMENTUM = 0.1
+"""Weight of a train batch's statistics in batch norm's running statistics."""
+
+
 @dataclass
 class BatchNormState:
     """Per-feature normalization: learnable gain/bias plus running statistics."""
@@ -339,19 +345,14 @@ class BatchNormState:
     bias: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = 1e-5
-    momentum: float = 0.1
 
 
-def make_batch_norm_state(num_features: int, eps: float = 1e-5, momentum: float = 0.1,
-                          dtype=np.float64) -> BatchNormState:
+def make_batch_norm_state(num_features: int, dtype=np.float64) -> BatchNormState:
     return BatchNormState(
         gain=Tensor(np.ones(num_features, dtype=dtype), requires_grad=True),
         bias=Tensor(np.zeros(num_features, dtype=dtype), requires_grad=True),
         running_mean=np.zeros(num_features, dtype=dtype),
         running_var=np.ones(num_features, dtype=dtype),
-        eps=eps,
-        momentum=momentum,
     )
 
 
@@ -381,12 +382,11 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str) -> Tensor:
         mu = x.data.mean(axis=0)
         var = x.data.var(axis=0)  # biased, used for normalization
         # running stats updated in place so shared buffers see the change
-        mom = state.momentum
-        state.running_mean *= 1.0 - mom
-        state.running_mean += mom * mu
-        state.running_var *= 1.0 - mom
-        state.running_var += mom * var * (m / (m - 1.0))
-    inv = 1.0 / np.sqrt(var + state.eps)
+        state.running_mean *= 1.0 - BN_MOMENTUM
+        state.running_mean += BN_MOMENTUM * mu
+        state.running_var *= 1.0 - BN_MOMENTUM
+        state.running_var += BN_MOMENTUM * var * (m / (m - 1.0))
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mu) * inv
 
     out = _result(gain.data * xhat + bias.data, (x, gain, bias))

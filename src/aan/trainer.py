@@ -394,7 +394,9 @@ def _header_number(value, what: str, integer: bool = False):
 
 def _tensor_meta(meta) -> tuple:
     """(name, kind, shape, dtype) of one tensor entry, as save_checkpoint writes it."""
-    shape, dtype = meta["shape"], meta["dtype"]
+    name, kind, shape, dtype = meta["name"], meta["kind"], meta["shape"], meta["dtype"]
+    if not (isinstance(name, str) and isinstance(kind, str)):
+        raise TypeError(f"tensor name and kind must be strings, got {name!r} and {kind!r}")
     if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
         raise TypeError(f"tensor shape must be a list of non-negative integers, got {shape!r}")
     try:
@@ -404,7 +406,7 @@ def _tensor_meta(meta) -> tuple:
         parsed = None
     if parsed is None or parsed.kind not in "fi":
         raise TypeError(f"tensor dtype must name a float or integer type, got {dtype!r}")
-    return meta["name"], meta["kind"], tuple(shape), parsed
+    return name, kind, tuple(shape), parsed
 
 
 def load_checkpoint(path) -> ModelState:

@@ -241,6 +241,45 @@ class TestManifestTypes:
         assert str(manifest) in capsys.readouterr().err
 
 
+def _rewrite(doc, **changes):
+    return json.dumps({**doc, **changes})
+
+
+def _first_class(doc, entry):
+    return _rewrite(doc, class_to_attributes=[entry] + doc["class_to_attributes"][1:])
+
+
+# file, then the new text of that file from its parsed document
+CORPUS_FILE_EDITS = {
+    "map-classes-missing": ("attribute_map.json",
+                            lambda d: json.dumps({"attribute_names": d["attribute_names"]})),
+    "map-class-entry-int": ("attribute_map.json", lambda d: _first_class(d, 5)),
+    "map-attribute-id-string": ("attribute_map.json", lambda d: _first_class(d, ["x"])),
+    "map-attribute-id-fractional": ("attribute_map.json", lambda d: _first_class(d, [1.5])),
+    "map-names-null": ("attribute_map.json", lambda d: _rewrite(d, attribute_names=None)),
+    "map-not-an-object": ("attribute_map.json", lambda d: "[]"),
+    "map-invalid-json": ("attribute_map.json", lambda d: "{"),
+    "manifest-anchors-int": ("manifest.json", lambda d: _rewrite(d, anchors=3)),
+    "manifest-attribute-map-null": ("manifest.json", lambda d: _rewrite(d, attribute_map=None)),
+}
+
+
+class TestCorpusFileTypes:
+    """An ill-typed attribute map, or manifest path to a shared file, is a
+    CorpusError naming the file that holds it, and `aan eval` exits 2."""
+
+    @pytest.mark.parametrize("name, edit", CORPUS_FILE_EDITS.values(), ids=CORPUS_FILE_EDITS)
+    def test_rejected_naming_the_file(self, corpus_dir, tmp_path, capsys, name, edit):
+        path = corpus_dir / name
+        path.write_text(edit(json.loads(path.read_text())))
+        manifest = corpus_dir / "manifest.json"
+        with pytest.raises(CorpusError, match=re.escape(str(path))):
+            read_manifest(manifest)
+        code = main(["eval", "--manifest", str(manifest), "--scores", str(tmp_path)])
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
+
+
 class TestGenerator:
     def test_noiseless_single_attribute_reproduces_anchor(self):
         corpus = generate_synthetic_corpus(
@@ -280,7 +319,7 @@ class TestGenerator:
         frames_i = np.zeros(corpus.spec.n_classes)
         frames_ij = np.zeros((corpus.spec.n_classes, corpus.spec.n_classes))
         for fs, ls in zip(corpus.features, corpus.labels):
-            dense = ls.densify(fs.frame_count)
+            dense = ls.densify(fs.frame_count).astype(np.int64)
             frames_i += dense.sum(axis=0)
             frames_ij += dense.T @ dense
         for (i, j), expected in corpus.planted.pair_rates.items():
@@ -352,3 +391,17 @@ class TestLoadSplit:
         assert [v.video_id for v in train] == [e.video_id for e in index.split("train")]
         assert train[0].features.dtype == np.float64
         assert train[0].labels.shape[1] == index.class_count
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_labels_are_the_intervals_as_bool(self, corpus_dir, dtype):
+        """`dtype` is the features' alone: labels hold one byte per frame and class."""
+        index = read_manifest(corpus_dir / "manifest.json")
+        videos = load_split(index, "train", dtype=dtype)
+        for v, entry in zip(videos, index.split("train")):
+            assert v.features.dtype == dtype and v.labels.dtype == bool
+            want = np.zeros((entry.frame_count, index.class_count), bool)
+            for c, start, end in entry.labels.intervals:
+                want[start:end + 1, c] = True
+            npt.assert_array_equal(v.labels, want)
+        frames = sum(e.frame_count for e in index.split("train"))
+        assert sum(v.labels.nbytes for v in videos) == frames * index.class_count

@@ -5,6 +5,7 @@ import pytest
 from oracles import brute_force_ap, enumerate_conditional, stable_ranked_precision
 
 from aan import metrics
+from aan.data import IntervalLabelSet, LoadedVideo
 from aan.metrics import (
     EvalRun,
     NoPositivesError,
@@ -316,6 +317,37 @@ class TestInputs:
         # while the conditional metrics would skip every pair
         with pytest.raises(ValueError, match="clip_7: labels must be 0 or 1"):
             VideoEval("clip_7", np.full((4, 2), 0.5), np.full((4, 2), 0.3), np.ones(4, bool))
+
+    def test_half_label_rejected(self):
+        labels = np.array([[1.0, 0.0], [0.5, 1.0]])
+        with pytest.raises(ValueError, match="v: labels must be 0 or 1"):
+            VideoEval("v", np.full((2, 2), 0.5), labels, np.ones(2, bool))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float64, np.float32])
+    def test_zero_one_labels_become_bool(self, dtype):
+        labels = np.array([[1, 0], [0, 1], [0, 0]], dtype=dtype)
+        video = VideoEval("v", np.full((3, 2), 0.5), labels, np.ones(3, bool))
+        assert video.labels.dtype == bool
+        npt.assert_array_equal(video.labels, labels == 1)
+
+    def test_bool_labels_of_a_loaded_video_are_not_copied(self):
+        labels = IntervalLabelSet("v", 3, [(0, 1, 2), (2, 0, 4)]).densify(5)
+        loaded = LoadedVideo("v", np.zeros((5, 4)), labels)
+        video = VideoEval(loaded.video_id, np.full((5, 3), 0.5), loaded.labels, loaded.mask)
+        assert video.labels.dtype == bool and np.shares_memory(video.labels, loaded.labels)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float_and_bool_labels_give_the_same_report(self, seed):
+        run = tied_run(seed)
+
+        def report(dtype):
+            videos = [VideoEval(v.video_id, v.scores, v.labels.astype(dtype), v.mask)
+                      for v in run.videos]
+            return evaluate_run(EvalRun(videos), taus=[0, 2, 20], curves=True).to_dict()
+
+        want = report(bool)
+        assert report(np.float64) == want
+        assert report(np.float32) == want
 
     def test_stacked_labels_are_an_exact_bool_copy(self):
         rng = np.random.default_rng(30)

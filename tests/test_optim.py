@@ -57,6 +57,27 @@ class TestAdam:
         npt.assert_array_equal(state.first_moment["a"], [0.0])
         npt.assert_array_equal(state.second_moment["a"], [0.0])
 
+    def test_parameter_without_moments_rejected_changing_nothing(self):
+        a, b = make_param([0.0]), make_param([0.0])
+        a.grad, b.grad = np.array([1.0]), np.array([1.0])
+        state = AdamState.for_params({"a": a}, learning_rate=0.1)
+        with pytest.raises(ValueError, match="no Adam moments for parameter 'b'"):
+            adam_step({"a": a, "b": b}, state)
+        assert state.step_count == 0
+        npt.assert_array_equal(a.data, [0.0])
+        npt.assert_array_equal(b.data, [0.0])
+        assert set(state.first_moment) == set(state.second_moment) == {"a"}
+        npt.assert_array_equal(state.first_moment["a"], [0.0])
+        npt.assert_array_equal(state.second_moment["a"], [0.0])
+
+    def test_moments_are_zeros_of_each_parameter(self):
+        params = {"w": Tensor(np.ones((2, 3), np.float32)), "b": make_param([1.0])}
+        state = AdamState.for_params(params, learning_rate=0.1)
+        for moments in (state.first_moment, state.second_moment):
+            for name, p in params.items():
+                assert moments[name].dtype == p.data.dtype
+                npt.assert_array_equal(moments[name], np.zeros_like(p.data))
+
     def test_chunked_update_is_bitwise_the_whole_array_update(self):
         # 3 chunks + 7 elements (17 * 5783), with a Fortran-ordered gradient
         rng = np.random.default_rng(1)

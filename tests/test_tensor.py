@@ -118,7 +118,7 @@ class TestBatchNorm:
             batch_norm(Tensor([[1.0, 2.0]]), state, "train")
 
     def test_running_statistics_update(self):
-        state = make_batch_norm_state(1, momentum=0.1)
+        state = make_batch_norm_state(1)
         x = np.array([[0.0], [2.0]])
         batch_norm(Tensor(x), state, "train")
         npt.assert_allclose(state.running_mean, [0.1])       # 0.9*0 + 0.1*1

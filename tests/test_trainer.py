@@ -472,13 +472,15 @@ class TestCheckpoints:
         lambda h: h["scheduler"].update(best_value=None),
         lambda h: h["scheduler"].update(num_bad_epochs=True),
         lambda h: h.update(epoch="1"),
+        lambda h: h["tensors"][0].update(name=["x"]),
+        lambda h: h["tensors"][0].update(kind={"a": 1}),
     ], ids=["unknown-config-key", "mix-bias-false", "bn-eps-changed", "config-invalid",
             "config-key-missing", "tensor-without-name", "tensor-without-kind",
             "tensor-without-shape", "tensor-without-dtype", "adam-key-missing",
             "scheduler-missing", "dtype-object", "dtype-complex", "dtype-null",
             "dtype-unparsable", "shape-fractional", "shape-negative", "shape-string",
             "beta1-string", "step-count-string", "step-count-fractional", "best-value-null",
-            "bad-epochs-bool", "epoch-string"])
+            "bad-epochs-bool", "epoch-string", "name-list", "kind-object"])
     def test_malformed_header_fields_rejected(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
         save_checkpoint(fresh_state(memory_corpus(), desk_config()), path)
