@@ -7,65 +7,32 @@ toward that attribute's text anchor vector in the shared embedding space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import AnchorSet, stable_index
-from .tensor import (
-    BatchNormState,
-    DimensionError,
-    Tensor,
-    make_batch_norm_state,
-    batch_norm,
-)
+from .tensor import BatchNormState, DimensionError, Tensor, batch_norm
 
 
-@dataclass
-class AttributeExtractorParams:
-    """N stacked D0->D0 filters with one normalization channel per output."""
-
-    weight: Tensor                       # [N, D0, D0], input-major
-    bn: BatchNormState | None            # over N*D0 flattened channels
-
-    @property
-    def attribute_count(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.weight.shape[1]
-
-
-def init_extractor(n_attributes: int, dim: int, rng: np.random.Generator,
-                   use_batch_norm: bool = True, dtype=np.float64) -> AttributeExtractorParams:
-    bound = 1.0 / np.sqrt(dim)
-    weight = Tensor(
-        rng.uniform(-bound, bound, (n_attributes, dim, dim)).astype(dtype, copy=False),
-        requires_grad=True,
-    )
-    bn = make_batch_norm_state(n_attributes * dim, dtype=dtype) if use_batch_norm else None
-    return AttributeExtractorParams(weight=weight, bn=bn)
-
-
-def extract_attributes(frames: Tensor, params: AttributeExtractorParams, mode: str) -> Tensor:
+def extract_attributes(frames: Tensor, weight: Tensor, bn: BatchNormState | None,
+                       mode: str) -> Tensor:
     """Map frame features [T, D0] to per-attribute features [T, N, D0].
 
-    Applies each attribute's filter, normalizes per channel over the frames,
-    then rectifies.  Output is therefore elementwise non-negative.
+    Applies each attribute's filter (`weight` stacks N input-major [D0, D0]
+    filters), normalizes each of the N*D0 channels over the frames with `bn`
+    (if given), then rectifies.  Output is therefore elementwise non-negative.
     """
     if frames.ndim != 2:
         raise DimensionError(f"expected frames [T, D0], got {frames.shape}")
-    if frames.shape[1] != params.dim:
+    if frames.shape[1] != weight.shape[1]:
         raise DimensionError(
-            f"frame dim {frames.shape[1]} does not match extractor dim {params.dim}"
+            f"frame dim {frames.shape[1]} does not match extractor dim {weight.shape[1]}"
         )
     t, d0 = frames.shape
-    n = params.attribute_count
+    n = weight.shape[0]
 
-    pre = (frames @ params.weight).transpose((1, 0, 2))   # [N,T,D0] -> [T,N,D0]
-    if params.bn is not None:
-        pre = batch_norm(pre.reshape(t, n * d0), params.bn, mode)
+    pre = (frames @ weight).transpose((1, 0, 2))   # [N,T,D0] -> [T,N,D0]
+    if bn is not None:
+        pre = batch_norm(pre.reshape(t, n * d0), bn, mode)
         pre = pre.reshape(t, n, d0)
     return pre.relu()
 

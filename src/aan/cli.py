@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -112,26 +112,20 @@ def cmd_build_prior(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _train_config(args) -> TrainConfig:
-    doc = {}
-    if args.config:
-        doc = json.loads(Path(args.config).read_text())
-    if args.profile and "profile" not in doc:
-        doc["profile"] = args.profile
-    overrides = {
-        "learning_rate": args.learning_rate, "batch_size": args.batch_size,
-        "max_epochs": args.max_epochs, "seed": args.seed,
-        "ablation": args.ablation, "hidden_dim": args.hidden_dim,
-        "n_blocks": args.n_blocks, "n_heads": args.n_heads,
-        "max_frames": args.max_frames, "attribute_weight": args.attribute_weight,
-        "kernel_size": args.kernel_size, "dtype": args.dtype,
-        "grad_clip": args.grad_clip,
-    }
-    doc.update({k: v for k, v in overrides.items() if v is not None})
-    if args.disable_attention:
-        doc["disable_attention"] = True
-    if args.disable_temporal:
-        doc["disable_temporal"] = True
-    return TrainConfig.from_dict(doc)
+    """The --config file's values, overridden by each flag given; a profile
+    named in the file wins over --profile."""
+    flags = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
+             if getattr(args, f.name, None) is not None}
+    try:
+        doc = json.loads(Path(args.config).read_text()) if args.config else {}
+        if isinstance(doc, dict):
+            doc = {"profile": args.profile, **doc, **flags}
+        return TrainConfig.from_dict(doc)
+    except ValueError as exc:
+        if not args.config:
+            raise
+        what = "not valid JSON: " if isinstance(exc, json.JSONDecodeError) else ""
+        raise ValueError(f"{args.config}: {what}{exc}") from None
 
 
 def cmd_train(args) -> int:
@@ -228,7 +222,7 @@ def _faulty_identity(t: Tensor) -> Tensor:
 
 def _gradcheck_suite(seed: int, inject_fault: bool = False):
     """(name, result) for every differentiable operation and the full model."""
-    from .attributes import AttributeExtractorParams, extract_attributes
+    from .attributes import extract_attributes
     from .graph import (
         CoOccurrencePrior, ModelConfig, attention_adjacency, bottleneck,
         graph_conv, init_model_state, temporal_mix,
@@ -291,12 +285,9 @@ def _gradcheck_suite(seed: int, inject_fault: bool = False):
     f_ext = rng.standard_normal((4, 3))
     a_ext = rng.standard_normal((2, 3))
 
-    def f_extract(t):
-        params = AttributeExtractorParams(weight=t["w"], bn=None)
-        out = extract_attributes(Tensor(f_ext), params, "train")
-        return mse_to_anchor(out, Tensor(a_ext))
-
-    checks.append(("extract_attributes", f_extract,
+    checks.append(("extract_attributes",
+                   lambda t: mse_to_anchor(extract_attributes(Tensor(f_ext), t["w"], None, "train"),
+                                           Tensor(a_ext)),
                    {"w": rng.standard_normal((2, 3, 3))}))
 
     x_gc = rng.standard_normal((2, 2, 3, 4))  # [H, T, N, Dh]
@@ -442,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grad-clip", type=float)
     p.add_argument("--dtype", choices=["float64", "float32"])
     p.add_argument("--ablation", choices=["full", "extractor-only", "linear"])
-    p.add_argument("--disable-attention", action="store_true")
-    p.add_argument("--disable-temporal", action="store_true")
+    p.add_argument("--disable-attention", action="store_true", default=None)
+    p.add_argument("--disable-temporal", action="store_true", default=None)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
 

@@ -177,21 +177,22 @@ class AttributeMap:
                     raise BoundsError(
                         f"class {c}: attribute {a} outside [0, {self.attribute_count})"
                     )
+        self._incidence = np.zeros((self.class_count, self.attribute_count), dtype=np.float64)
+        for c, attrs in enumerate(self.class_to_attributes):
+            self._incidence[c, attrs] = 1.0
+        self._incidence.flags.writeable = False
 
     @property
     def class_count(self) -> int:
         return len(self.class_to_attributes)
 
     def incidence(self) -> np.ndarray:
-        """[C, N] 0/1 matrix of class -> attribute membership."""
-        m = np.zeros((self.class_count, self.attribute_count), dtype=np.float64)
-        for c, attrs in enumerate(self.class_to_attributes):
-            m[c, attrs] = 1.0
-        return m
+        """[C, N] 0/1 matrix of class -> attribute membership (read-only)."""
+        return self._incidence
 
     def frame_attributes(self, dense_labels: np.ndarray) -> np.ndarray:
         """[T, N] bool: attribute active iff some active class involves it."""
-        return (np.asarray(dense_labels) @ self.incidence()) > 0
+        return (np.asarray(dense_labels) @ self._incidence) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,7 @@ class CorpusIndex:
         return read_feature_file(entry.feature_path, video_id=entry.video_id)
 
 
-def _video_record(record, i: int, path: Path) -> tuple:
+def _video_record(record, i: int, path: Path, class_count: int) -> tuple:
     """(video_id, features, split, label triples) of manifest video record i."""
     if not isinstance(record, dict):
         raise CorpusError(f"{path}: video record {i} is not an object")
@@ -338,6 +339,12 @@ def _video_record(record, i: int, path: Path) -> tuple:
     if intervals is None or len(intervals) != len(labels):
         raise CorpusError(f"{path}: video {vid!r} labels must be [class, start, end] "
                           f"triples of integers")
+    for c, start, end in intervals:
+        if not 0 <= c < class_count:
+            raise CorpusError(f"{path}: video {vid!r}: class {c} outside [0, {class_count})")
+        if not 0 <= start <= end:
+            raise CorpusError(f"{path}: video {vid!r}: interval [{start}, {end}] needs "
+                              f"0 <= start <= end")
     return vid, features, split, intervals
 
 
@@ -357,7 +364,10 @@ def _read_attribute_map(path: Path) -> AttributeMap:
             isinstance(attrs, list) and all(type(a) is int for a in attrs) for attrs in classes)):
         raise CorpusError(f"{path}: class_to_attributes must be a list of lists of "
                           f"integer attribute ids")
-    return AttributeMap(class_to_attributes=classes, attribute_count=len(names))
+    try:
+        return AttributeMap(class_to_attributes=classes, attribute_count=len(names))
+    except (ValidationError, BoundsError) as exc:
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 def read_manifest(path) -> CorpusIndex:
@@ -408,7 +418,7 @@ def read_manifest(path) -> CorpusIndex:
 
     videos, seen = [], set()
     for i, record in enumerate(doc["videos"]):
-        vid, features, split, intervals = _video_record(record, i, path)
+        vid, features, split, intervals = _video_record(record, i, path, class_count)
         if vid in seen:
             raise CorpusError(f"{path}: duplicate video_id {vid!r}")
         seen.add(vid)

@@ -13,15 +13,13 @@ head into per-class logits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .attributes import (
-    AttributeExtractorParams,
-    extract_attributes,
-    init_extractor,
-)
+from .attributes import extract_attributes
 from .data import AttributeMap, check_all_frames
 from .optim import AdamState
 from .tensor import (
@@ -34,6 +32,7 @@ from .tensor import (
     affine,
     bce_with_logits,
     depthwise_temporal_conv,
+    make_batch_norm_state,
     mean_pool_nodes,
     mse_to_anchor,
     softmax_lastaxis,
@@ -93,15 +92,15 @@ def prior_from_dense(dense_labels, attribute_map: AttributeMap,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ModelConfig:
-    n_attributes: int
-    n_classes: int
-    input_dim: int                # D0
+class Hyperparameters:
+    """The model's hyperparameters, each declared here once with its default.
+
+    The defaults are the published operating point."""
+
     hidden_dim: int = 256         # D1
     n_blocks: int = 5             # L
     n_heads: int = 4              # H
     kernel_size: int = 3
-    use_batch_norm: bool = True
     attribute_weight: float = 1.0
     normalize_anchors: bool = False
     ablation: str = "full"
@@ -112,15 +111,15 @@ class ModelConfig:
     def validate(self) -> None:
         if self.ablation not in ABLATIONS:
             raise ConfigurationError(f"unknown ablation {self.ablation!r}, expected one of {ABLATIONS}")
+        for name in ("hidden_dim", "n_blocks", "n_heads"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be positive")
         if self.hidden_dim % self.n_heads != 0:
             raise ConfigurationError(
                 f"hidden_dim {self.hidden_dim} must be divisible by n_heads {self.n_heads}"
             )
         if self.kernel_size % 2 == 0:
             raise ConfigurationError(f"kernel_size must be odd, got {self.kernel_size}")
-        for name in ("n_attributes", "n_classes", "input_dim", "hidden_dim", "n_blocks", "n_heads"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be positive")
         if self.dtype not in ("float64", "float32"):
             raise ConfigurationError(f"dtype must be float64 or float32, got {self.dtype!r}")
 
@@ -131,6 +130,22 @@ class ModelConfig:
     @property
     def np_dtype(self):
         return np.float64 if self.dtype == "float64" else np.float32
+
+
+@dataclass(kw_only=True)
+class ModelConfig(Hyperparameters):
+    """The hyperparameters plus the dimensions the model takes from its corpus."""
+
+    n_attributes: int
+    n_classes: int
+    input_dim: int                # D0
+    use_batch_norm: bool = True
+
+    def validate(self) -> None:
+        for name in ("n_attributes", "n_classes", "input_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be positive")
+        super().validate()
 
 
 @dataclass
@@ -150,17 +165,6 @@ class ModelState:
     adam: AdamState
     scheduler: SchedulerState = field(default_factory=SchedulerState)
     epoch: int = 0
-
-    def extractor(self) -> AttributeExtractorParams:
-        bn = None
-        if self.config.use_batch_norm:
-            bn = BatchNormState(
-                gain=self.params["extractor.bn.gain"],
-                bias=self.params["extractor.bn.bias"],
-                running_mean=self.buffers["extractor.bn.running_mean"],
-                running_var=self.buffers["extractor.bn.running_var"],
-            )
-        return AttributeExtractorParams(weight=self.params["extractor.weight"], bn=bn)
 
     def active_param_names(self) -> list:
         """Parameters the configured wiring reads; the only ones a state holds."""
@@ -209,18 +213,14 @@ def init_model_state(config: ModelConfig, prior: CoOccurrencePrior, seed: int,
     def zeros(shape):
         return Tensor(np.zeros(shape, dtype=dt), requires_grad=True)
 
-    params: dict = {}
-    extractor = init_extractor(config.n_attributes, config.input_dim, rng,
-                               use_batch_norm=config.use_batch_norm, dtype=dt)
-    params["extractor.weight"] = extractor.weight
-    buffers: dict = {}
-    if extractor.bn is not None:
-        params["extractor.bn.gain"] = extractor.bn.gain
-        params["extractor.bn.bias"] = extractor.bn.bias
-        buffers["extractor.bn.running_mean"] = extractor.bn.running_mean
-        buffers["extractor.bn.running_var"] = extractor.bn.running_var
-
     d0, d1, h, dh = config.input_dim, config.hidden_dim, config.n_heads, config.head_dim
+    params: dict = {"extractor.weight": fan_in((config.n_attributes, d0, d0), d0)}
+    buffers: dict = {}
+    if config.use_batch_norm:
+        bn = make_batch_norm_state(config.n_attributes * d0, dtype=dt)
+        params["extractor.bn.gain"], params["extractor.bn.bias"] = bn.gain, bn.bias
+        buffers["extractor.bn.running_mean"] = bn.running_mean
+        buffers["extractor.bn.running_var"] = bn.running_var
     params["bottleneck.weight"] = fan_in((d0, d1), d0)
     for i in range(config.n_blocks):
         params[f"blocks.{i}.attn.w1"] = fan_in((h, dh, dh), dh)
@@ -257,9 +257,7 @@ def clone_state(state: ModelState) -> ModelState:
     prior = CoOccurrencePrior(state.prior.probabilities.copy(),
                               state.prior.counts.copy(), state.prior.totals.copy())
     adam = AdamState(
-        learning_rate=state.adam.learning_rate,
-        beta1=state.adam.beta1, beta2=state.adam.beta2, epsilon=state.adam.epsilon,
-        step_count=state.adam.step_count,
+        learning_rate=state.adam.learning_rate, step_count=state.adam.step_count,
         first_moment={k: v.copy() for k, v in state.adam.first_moment.items()},
         second_moment={k: v.copy() for k, v in state.adam.second_moment.items()},
     )
@@ -358,7 +356,12 @@ def forward(features: np.ndarray, anchors_selected: np.ndarray | None,
         logits = affine(frames, state.params["linear.weight"], state.params["linear.bias"])
         return ForwardResult(logits=logits, attributes=None)
 
-    extracted = extract_attributes(frames, state.extractor(), mode)
+    bn = None
+    if cfg.use_batch_norm:
+        bn = BatchNormState(state.params["extractor.bn.gain"], state.params["extractor.bn.bias"],
+                            state.buffers["extractor.bn.running_mean"],
+                            state.buffers["extractor.bn.running_var"])
+    extracted = extract_attributes(frames, state.params["extractor.weight"], bn, mode)
     x = bottleneck(extracted, state.params["bottleneck.weight"])
 
     if cfg.ablation == "full":
@@ -406,16 +409,45 @@ def total_loss(result: ForwardResult, dense_labels: np.ndarray,
     return LossBreakdown(total=total, action=action.item(), attribute=attr.item())
 
 
-# Fields that earlier versions wrote into every config but nothing ever set
-# away from these values; a stored config may carry them at these values only.
-_RETIRED_FIELDS = {"mix_bias": True, "bn_eps": BN_EPS, "bn_momentum": BN_MOMENTUM}
+# Keys that earlier versions wrote into stored configs: the model now takes
+# the three dimensions from the corpus, and nothing ever set the rest away
+# from these values.  A document may carry such a key at its value only.
+_RETIRED_KEYS = {"input_dim": None, "n_attributes": None, "n_classes": None,
+                "mix_bias": True, "bn_eps": BN_EPS, "bn_momentum": BN_MOMENTUM}
+
+
+def config_values(cls, doc, ignored=()) -> dict:
+    """The fields of dataclass `cls` that a config document sets.
+
+    Each value must have its field's type: a bool is not an int, an int
+    serves for a float, and null only where the default is None.  Keys
+    that are not fields of `cls` or `ignored` are rejected, except retired
+    keys at their one accepted value, which are dropped.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a config must be a JSON object, got {type(doc).__name__}")
+    known = {f.name: f for f in fields(cls)}
+    for name in sorted(set(doc) - set(known) - set(ignored)):
+        if name not in _RETIRED_KEYS:
+            raise ValueError(f"unknown config key {name!r}")
+        if doc[name] != _RETIRED_KEYS[name]:
+            raise ConfigurationError(f"{name} is no longer configurable; only "
+                                     f"{json.dumps(_RETIRED_KEYS[name])} is accepted")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for name, value in doc.items():
+        if name not in known:
+            continue
+        kind = next(t for t in (bool, int, float, str)
+                    if t is hints[name] or t in typing.get_args(hints[name]))
+        if not (type(value) is kind or (kind is float and type(value) is int)
+                or (value is None and known[name].default is None)):
+            raise ValueError(f"config key {name!r} must be {kind.__name__}, got {value!r}")
+        values[name] = value
+    return values
 
 
 def config_from_dict(doc: dict) -> ModelConfig:
-    doc = dict(doc)
-    for name, value in _RETIRED_FIELDS.items():
-        if name in doc and doc.pop(name) != value:
-            raise ConfigurationError(f"{name} is no longer configurable; only {value!r} is accepted")
-    cfg = ModelConfig(**doc)
+    cfg = ModelConfig(**config_values(ModelConfig, doc))
     cfg.validate()
     return cfg

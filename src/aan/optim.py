@@ -14,21 +14,26 @@ class NonFiniteGradientError(RuntimeError):
     """A parameter gradient contained NaN/Inf; training must abort."""
 
 
+ADAM_BETA1 = 0.9
+"""Decay of Adam's first-moment (gradient) average."""
+ADAM_BETA2 = 0.999
+"""Decay of Adam's second-moment (squared gradient) average."""
+ADAM_EPSILON = 1e-8
+"""Added to the root of the second moment before Adam divides by it."""
+
+
 @dataclass
 class AdamState:
     """Bias-corrected Adam state, one moment pair per named parameter."""
 
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     first_moment: dict = field(default_factory=dict)
     second_moment: dict = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict, learning_rate: float, **kwargs) -> "AdamState":
-        state = cls(learning_rate=learning_rate, **kwargs)
+    def for_params(cls, params: dict, learning_rate: float) -> "AdamState":
+        state = cls(learning_rate=learning_rate)
         for name, p in params.items():
             # np.zeros, not zeros_like: fresh pages come zeroed, so nothing is written
             state.first_moment[name] = np.zeros(p.data.shape, p.data.dtype)
@@ -74,7 +79,7 @@ def adam_step(params: dict, state: AdamState) -> None:
 
     state.step_count += 1
     t = state.step_count
-    lr, b1, b2, eps = state.learning_rate, state.beta1, state.beta2, state.epsilon
+    lr, b1, b2, eps = state.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for p, m, v, g in updates:

@@ -24,20 +24,25 @@ from .attributes import select_anchor_prompt
 from .data import CorpusIndex, LoadedVideo, load_split, make_batches
 from .graph import (
     CoOccurrencePrior,
+    Hyperparameters,
     ModelConfig,
     ModelState,
     SchedulerState,
     config_from_dict,
+    config_values,
     forward,
     init_model_state,
     prior_from_dense,
     total_loss,
 )
 from .metrics import EvalRun, VideoEval, per_frame_map
-from .optim import AdamState, adam_step, clip_global_norm, zero_grads
+from .optim import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, adam_step,
+                    clip_global_norm, zero_grads)
 
 CHECKPOINT_MAGIC = b"AANC"
 CHECKPOINT_VERSION = 1
+# written into every header, which may hold these values only
+_ADAM_CONSTANTS = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "epsilon": ADAM_EPSILON}
 
 
 class CheckpointError(ValueError):
@@ -48,13 +53,8 @@ class NonFiniteLossError(RuntimeError):
     """A batch produced a non-finite loss; training must abort."""
 
 
-# Keys that older resolved_config.json files hold, always at null: the model
-# takes these dimensions from the corpus.
-_RETIRED_KEYS = ("input_dim", "n_attributes", "n_classes")
-
-
 @dataclass
-class TrainConfig:
+class TrainConfig(Hyperparameters):
     """Everything a training run depends on besides the corpus itself."""
 
     learning_rate: float = 1e-4
@@ -65,18 +65,9 @@ class TrainConfig:
     seed: int = 0
     max_frames: int | None = None
     grad_clip: float | None = None
-    attribute_weight: float = 1.0
-    hidden_dim: int = 256
-    n_blocks: int = 5
-    n_heads: int = 4
-    kernel_size: int = 3
-    ablation: str = "full"
-    disable_attention: bool = False
-    disable_temporal: bool = False
-    normalize_anchors: bool = False
-    dtype: str = "float64"
 
     def validate(self) -> None:
+        super().validate()
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.plateau_factor < 1.0:
@@ -93,17 +84,11 @@ class TrainConfig:
                              f"got {self.max_frames}")
         if self.grad_clip is not None and not self.grad_clip > 0:
             raise ValueError(f"grad_clip must be positive when set, got {self.grad_clip}")
-        self.model_config(1, 1, 1)
 
     def model_config(self, input_dim: int, n_attributes: int, n_classes: int) -> ModelConfig:
-        cfg = ModelConfig(
-            n_attributes=n_attributes, n_classes=n_classes, input_dim=input_dim,
-            hidden_dim=self.hidden_dim, n_blocks=self.n_blocks, n_heads=self.n_heads,
-            kernel_size=self.kernel_size, attribute_weight=self.attribute_weight,
-            normalize_anchors=self.normalize_anchors, ablation=self.ablation,
-            disable_attention=self.disable_attention, disable_temporal=self.disable_temporal,
-            dtype=self.dtype,
-        )
+        hyper = {f.name: getattr(self, f.name) for f in fields(Hyperparameters)}
+        cfg = ModelConfig(input_dim=input_dim, n_attributes=n_attributes,
+                          n_classes=n_classes, **hyper)
         cfg.validate()
         return cfg
 
@@ -117,30 +102,22 @@ class TrainConfig:
 
     @classmethod
     def paper_profile(cls, **overrides) -> "TrainConfig":
-        """Published operating point (needs external 768-d features)."""
-        values = dict(hidden_dim=256, n_blocks=5, n_heads=4, batch_size=32,
-                      learning_rate=1e-4)
-        values.update(overrides)
-        return cls(**values)
+        """Published operating point (needs external 768-d features): the defaults."""
+        return cls(**overrides)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        doc = dict(doc)
-        profile = doc.pop("profile", None)
-        for name in _RETIRED_KEYS:
-            if doc.pop(name, None) is not None:
-                raise ValueError(f"{name} is no longer a config key; only null is accepted")
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        """A config document's values, type-checked, over the profile it may
+        name (`"profile": "desk"|"paper"`)."""
+        values = config_values(cls, doc, ignored=("profile",))
+        profile = doc.get("profile")
         if profile == "desk":
-            return cls.desk_profile(**doc)
+            return cls.desk_profile(**values)
         if profile == "paper":
-            return cls.paper_profile(**doc)
+            return cls.paper_profile(**values)
         if profile is not None:
             raise ValueError(f"unknown profile {profile!r}")
-        return cls(**doc)
+        return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +331,8 @@ def save_checkpoint(state: ModelState, path) -> None:
         "model_config": asdict(state.config),
         "epoch": state.epoch,
         "adam": {
-            "learning_rate": state.adam.learning_rate,
-            "beta1": state.adam.beta1, "beta2": state.adam.beta2,
-            "epsilon": state.adam.epsilon, "step_count": state.adam.step_count,
+            "learning_rate": state.adam.learning_rate, **_ADAM_CONSTANTS,
+            "step_count": state.adam.step_count,
         },
         "scheduler": {
             "best_value": state.scheduler.best_value,
@@ -435,6 +411,9 @@ def load_checkpoint(path) -> ModelState:
         adam_doc = {key: _header_number(header["adam"][key], f"adam.{key}",
                                         integer=key == "step_count")
                     for key in ("learning_rate", "beta1", "beta2", "epsilon", "step_count")}
+        for key, value in _ADAM_CONSTANTS.items():
+            if adam_doc[key] != value:
+                raise ValueError(f"adam.{key} must be {value!r}, got {adam_doc[key]!r}")
         scheduler = SchedulerState(
             best_value=_header_number(header["scheduler"]["best_value"], "scheduler.best_value"),
             num_bad_epochs=_header_number(header["scheduler"]["num_bad_epochs"],
@@ -485,9 +464,6 @@ def load_checkpoint(path) -> ModelState:
         raise CheckpointError(f"{path}: incompatible tensors: " + "; ".join(mismatches))
 
     adam = skeleton.adam
-    adam.beta1 = adam_doc["beta1"]
-    adam.beta2 = adam_doc["beta2"]
-    adam.epsilon = adam_doc["epsilon"]
     adam.step_count = adam_doc["step_count"]
     for name in list(adam.first_moment):
         m = arrays.get(("adam.m", name))
@@ -537,8 +513,7 @@ def train(index_or_corpus, config: TrainConfig, out_dir=None,
     config.validate()
     corpus = index_or_corpus
     if isinstance(index_or_corpus, CorpusIndex):
-        dtype = np.float64 if config.dtype == "float64" else np.float32
-        corpus = load_corpus(index_or_corpus, dtype=dtype)
+        corpus = load_corpus(index_or_corpus, dtype=config.np_dtype)
     if not corpus.train:
         raise ValueError("empty train split")
     if not corpus.val:

@@ -2,55 +2,53 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from aan.attributes import (
-    AttributeExtractorParams,
-    extract_attributes,
-    init_extractor,
-    select_anchor_prompt,
-)
+from aan.attributes import extract_attributes, select_anchor_prompt
 from aan.data import AnchorSet
 from aan.optim import grad_check
-from aan.tensor import DimensionError, Tensor, mse_to_anchor
+from aan.tensor import DimensionError, Tensor, make_batch_norm_state, mse_to_anchor
 
 
 def make_params(n, d0, rng, use_bn=True):
-    return init_extractor(n, d0, rng, use_batch_norm=use_bn)
+    """(weight, bn) of an extractor drawn as init_model_state draws them."""
+    bound = 1.0 / np.sqrt(d0)
+    weight = Tensor(rng.uniform(-bound, bound, (n, d0, d0)), requires_grad=True)
+    return weight, make_batch_norm_state(n * d0) if use_bn else None
 
 
 class TestExtractAttributes:
     def test_zero_weights_give_zero_output(self):
-        params = make_params(3, 4, np.random.default_rng(0))
-        params.weight.data[:] = 0.0
+        weight, bn = make_params(3, 4, np.random.default_rng(0))
+        weight.data[:] = 0.0
         out = extract_attributes(Tensor(np.random.default_rng(1).standard_normal((5, 4))),
-                                 params, "train")
+                                 weight, bn, "train")
         npt.assert_array_equal(out.data, np.zeros((5, 3, 4)))
 
     def test_output_shape(self):
         params = make_params(6, 3, np.random.default_rng(2))
         out = extract_attributes(Tensor(np.random.default_rng(3).standard_normal((7, 3))),
-                                 params, "train")
+                                 *params, "train")
         assert out.shape == (7, 6, 3)
 
     def test_output_is_non_negative(self):
         rng = np.random.default_rng(4)
         params = make_params(4, 5, rng)
-        out = extract_attributes(Tensor(rng.standard_normal((9, 5))), params, "train")
+        out = extract_attributes(Tensor(rng.standard_normal((9, 5))), *params, "train")
         assert (out.data >= 0).all()
 
     def test_dim_mismatch(self):
         params = make_params(2, 4, np.random.default_rng(5))
         with pytest.raises(DimensionError):
-            extract_attributes(Tensor(np.zeros((3, 5))), params, "train")
+            extract_attributes(Tensor(np.zeros((3, 5))), *params, "train")
 
     def test_eval_mode_is_pure(self):
         rng = np.random.default_rng(6)
-        params = make_params(3, 4, rng)
+        weight, bn = make_params(3, 4, rng)
         x = Tensor(rng.standard_normal((6, 4)))
-        a = extract_attributes(x, params, "eval").data
-        rm = params.bn.running_mean.copy()
-        b = extract_attributes(x, params, "eval").data
+        a = extract_attributes(x, weight, bn, "eval").data
+        rm = bn.running_mean.copy()
+        b = extract_attributes(x, weight, bn, "eval").data
         npt.assert_array_equal(a, b)
-        npt.assert_array_equal(params.bn.running_mean, rm)
+        npt.assert_array_equal(bn.running_mean, rm)
 
     def test_gradient_of_anchor_objective_through_extractor(self):
         rng = np.random.default_rng(7)
@@ -58,8 +56,7 @@ class TestExtractAttributes:
         anchors = rng.standard_normal((2, 3))
 
         def f(t):
-            params = AttributeExtractorParams(weight=t["w"], bn=None)
-            out = extract_attributes(Tensor(frames), params, "train")
+            out = extract_attributes(Tensor(frames), t["w"], None, "train")
             return mse_to_anchor(out, Tensor(anchors))
 
         result = grad_check(f, {"w": rng.standard_normal((2, 3, 3))})
@@ -71,11 +68,10 @@ class TestExtractAttributes:
         anchors = rng.standard_normal((2, 2))
 
         def f(t):
-            params = init_extractor(2, 2, np.random.default_rng(0))
-            params.weight = t["w"]
-            params.bn.gain = t["gain"]
-            params.bn.bias = t["bias"]
-            out = extract_attributes(Tensor(frames), params, "train")
+            bn = make_batch_norm_state(4)
+            bn.gain = t["gain"]
+            bn.bias = t["bias"]
+            out = extract_attributes(Tensor(frames), t["w"], bn, "train")
             return mse_to_anchor(out, Tensor(anchors))
 
         result = grad_check(f, {
@@ -90,11 +86,9 @@ class TestExtractAttributes:
         rng = np.random.default_rng(9)
         anchor = np.abs(rng.standard_normal(6)) + 0.1
         w = np.outer(anchor, anchor) / float(anchor @ anchor)
-        params = AttributeExtractorParams(
-            weight=Tensor(w[None, :, :], requires_grad=True), bn=None
-        )
+        weight = Tensor(w[None, :, :], requires_grad=True)
         frames = Tensor(np.broadcast_to(anchor, (4, 6)).copy())
-        out = extract_attributes(frames, params, "eval")
+        out = extract_attributes(frames, weight, None, "eval")
         loss = mse_to_anchor(out, Tensor(anchor[None, :]))
         assert loss.item() < 1e-24
 

@@ -193,6 +193,49 @@ class TestTrain:
         assert code == 2
         assert "no_such_option" in err
 
+    @pytest.mark.parametrize("text, flags, key", [
+        ('{"hidden_dim": "x"}', [], "hidden_dim"),
+        ('{"batch_size": 2.5}', [], "batch_size"),
+        ('{"seed": "3"}', [], "seed"),
+        ('{"seed": null}', [], "seed"),
+        ('{"learning_rate": true}', [], "learning_rate"),
+        ('{"disable_attention": 1}', [], "disable_attention"),
+        ("[1]", [], "JSON object"),
+        ("{", [], "not valid JSON"),
+        (None, ["--n-heads", "0"], "n_heads must be positive"),
+    ], ids=["hidden-dim-string", "batch-size-fractional", "seed-string", "seed-null",
+            "learning-rate-bool", "disable-attention-int", "not-an-object", "invalid-json",
+            "heads-0-flag"])
+    def test_ill_typed_config_exits_2_naming_key_and_file(self, tmp_path, capsys, text,
+                                                          flags, key):
+        args = ["train", "--manifest", str(tmp_path / "nope.json"),
+                "--out-dir", str(tmp_path / "run"), "--profile", "desk"] + flags
+        config_path = tmp_path / "config.json"
+        if text is not None:
+            config_path.write_text(text)
+            args += ["--config", str(config_path)]
+        code = run_cli(args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert key in err and "nope.json" not in err
+        assert (str(config_path) in err) == (text is not None)
+        assert not (tmp_path / "run").exists()
+
+    def test_config_file_values_stand_where_no_flag_is_given(self, trained, tmp_path, capsys):
+        corpus, _ = trained
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"profile": "desk", "disable_attention": True,
+                                           "grad_clip": None, "max_epochs": 1}))
+        code = run_cli(["train", "--manifest", str(corpus / "manifest.json"),
+                        "--out-dir", str(tmp_path / "run"), "--config", str(config_path),
+                        "--quiet"])
+        out = capsys.readouterr().out
+        assert code == 0
+        resolved = json.loads(out.splitlines()[0])["resolved_config"]
+        assert resolved["disable_attention"] is True
+        assert resolved["disable_temporal"] is False
+        assert resolved["grad_clip"] is None
+
     @pytest.mark.parametrize("value, code", [(None, 0), (8, 2)], ids=["null", "set"])
     def test_old_resolved_config_with_retired_keys(self, trained, tmp_path, capsys, value, code):
         corpus, run_dir = trained

@@ -169,6 +169,14 @@ class TestAttributeMap:
         active = amap.frame_attributes(dense)
         npt.assert_array_equal(active, [[1, 0, 0], [1, 1, 0], [0, 0, 0]])
 
+    def test_incidence_is_built_once_and_read_only(self):
+        amap = AttributeMap([[0], [0, 1]], attribute_count=3)
+        incidence = amap.incidence()
+        npt.assert_array_equal(incidence, [[1, 0, 0], [1, 1, 0]])
+        assert amap.incidence() is incidence
+        with pytest.raises(ValueError, match="read-only"):
+            incidence[0, 2] = 1.0
+
 
 class TestManifest:
     def test_round_trip_index(self, corpus_dir, small_corpus):
@@ -221,14 +229,26 @@ def _set_fractional_label_class(doc):
     doc["videos"][0]["labels"] = [[1.5, 0, 0]]
 
 
+def _set_first_labels(triple):
+    def edit(doc):
+        doc["videos"][0]["labels"] = [triple]
+    return edit
+
+
 class TestManifestTypes:
     """Ill-typed manifest values are CorpusErrors naming the manifest, and
     `aan eval` exits 2 on them instead of escaping with a traceback."""
 
     @pytest.mark.parametrize("edit", [_set_dim_null, _set_class_count_true,
-                                      _set_first_record_empty, _set_fractional_label_class],
+                                      _set_first_record_empty, _set_fractional_label_class,
+                                      _set_first_labels([99, 0, 0]),
+                                      _set_first_labels([-1, 0, 0]),
+                                      _set_first_labels([0, 5, 3]),
+                                      _set_first_labels([0, -1, 0])],
                              ids=["dim-null", "class-count-bool", "record-empty",
-                                  "label-class-fractional"])
+                                  "label-class-fractional", "label-class-99",
+                                  "label-class-negative", "label-start-after-end",
+                                  "label-start-negative"])
     def test_rejected_naming_the_manifest(self, corpus_dir, tmp_path, capsys, edit):
         manifest = corpus_dir / "manifest.json"
         doc = json.loads(manifest.read_text())
@@ -259,6 +279,8 @@ CORPUS_FILE_EDITS = {
     "map-names-null": ("attribute_map.json", lambda d: _rewrite(d, attribute_names=None)),
     "map-not-an-object": ("attribute_map.json", lambda d: "[]"),
     "map-invalid-json": ("attribute_map.json", lambda d: "{"),
+    "map-class-without-attributes": ("attribute_map.json", lambda d: _first_class(d, [])),
+    "map-attribute-id-out-of-range": ("attribute_map.json", lambda d: _first_class(d, [99])),
     "manifest-anchors-int": ("manifest.json", lambda d: _rewrite(d, anchors=3)),
     "manifest-attribute-map-null": ("manifest.json", lambda d: _rewrite(d, attribute_map=None)),
 }

@@ -105,6 +105,21 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             tiny_config(ablation="nope").validate()
 
+    def test_zero_heads_rejected_before_the_divisibility_check(self):
+        with pytest.raises(ConfigurationError, match="n_heads must be positive"):
+            tiny_config(n_heads=0).validate()
+
+
+class TestInit:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_extractor_weight_is_the_first_draw_of_the_seed(self, seed):
+        state = tiny_state(seed=seed)
+        cfg = state.config
+        bound = 1.0 / np.sqrt(cfg.input_dim)
+        first = np.random.default_rng(seed).uniform(
+            -bound, bound, (cfg.n_attributes, cfg.input_dim, cfg.input_dim))
+        npt.assert_array_equal(state.params["extractor.weight"].data, first)
+
 
 class TestBottleneck:
     def test_identity_columns_copy_coordinates(self):

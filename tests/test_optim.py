@@ -3,7 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from aan.optim import (
-    ADAM_CHUNK, AdamState, GradCheckResult, NonFiniteGradientError, adam_step, grad_check, zero_grads,
+    ADAM_BETA1, ADAM_BETA2, ADAM_CHUNK, ADAM_EPSILON, AdamState, GradCheckResult,
+    NonFiniteGradientError, adam_step, grad_check, zero_grads,
 )
 from aan.tensor import Tensor
 
@@ -91,14 +92,14 @@ class TestAdam:
             for k, p in params.items():
                 p.grad = np.asfortranarray(rng.standard_normal(shapes[k]))
             adam_step(params, state)
-            c1, c2 = 1.0 - state.beta1 ** t, 1.0 - state.beta2 ** t
+            c1, c2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
             for k, (rp, m, v) in ref.items():
                 g = params[k].grad
-                m *= state.beta1
-                m += (1.0 - state.beta1) * g
-                v *= state.beta2
-                v += (1.0 - state.beta2) * g * g
-                rp -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * g * g
+                rp -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
                 npt.assert_array_equal(params[k].data, rp)
                 npt.assert_array_equal(state.first_moment[k], m)
                 npt.assert_array_equal(state.second_moment[k], v)

@@ -474,13 +474,17 @@ class TestCheckpoints:
         lambda h: h.update(epoch="1"),
         lambda h: h["tensors"][0].update(name=["x"]),
         lambda h: h["tensors"][0].update(kind={"a": 1}),
+        lambda h: h["adam"].update(beta1=0.8),
+        lambda h: h["adam"].update(epsilon=1e-7),
+        lambda h: h["model_config"].update(hidden_dim="16"),
     ], ids=["unknown-config-key", "mix-bias-false", "bn-eps-changed", "config-invalid",
             "config-key-missing", "tensor-without-name", "tensor-without-kind",
             "tensor-without-shape", "tensor-without-dtype", "adam-key-missing",
             "scheduler-missing", "dtype-object", "dtype-complex", "dtype-null",
             "dtype-unparsable", "shape-fractional", "shape-negative", "shape-string",
             "beta1-string", "step-count-string", "step-count-fractional", "best-value-null",
-            "bad-epochs-bool", "epoch-string", "name-list", "kind-object"])
+            "bad-epochs-bool", "epoch-string", "name-list", "kind-object", "beta1-other",
+            "epsilon-other", "config-value-string"])
     def test_malformed_header_fields_rejected(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
         save_checkpoint(fresh_state(memory_corpus(), desk_config()), path)
