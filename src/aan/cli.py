@@ -112,15 +112,17 @@ def cmd_build_prior(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _train_config(args) -> TrainConfig:
-    """The --config file's values, overridden by each flag given; a profile
-    named in the file wins over --profile."""
+    """The --config file's values, overridden by each flag given, validated;
+    a profile named in the file wins over --profile."""
     flags = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
              if getattr(args, f.name, None) is not None}
     try:
         doc = json.loads(Path(args.config).read_text()) if args.config else {}
         if isinstance(doc, dict):
             doc = {"profile": args.profile, **doc, **flags}
-        return TrainConfig.from_dict(doc)
+        config = TrainConfig.from_dict(doc)
+        config.validate()
+        return config
     except ValueError as exc:
         if not args.config:
             raise
@@ -130,7 +132,6 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_train(args) -> int:
     config = _train_config(args)
-    config.validate()
     index = read_manifest(args.manifest)
     _emit_config("train", {**asdict(config), "manifest": str(args.manifest),
                            "out_dir": str(args.out_dir)})
@@ -379,7 +380,7 @@ def cmd_predict(args) -> int:
         raise CorpusError(
             f"feature dim {fs.dim} does not match checkpoint input_dim {state.config.input_dim}"
         )
-    scores = predict_scores(state, fs.features.astype(np.float64))
+    scores = predict_scores(state, fs.features)
     write_score_file(args.out, scores.astype(np.float32))
     print(json.dumps({"out": str(args.out), "frames": fs.frame_count,
                       "classes": int(scores.shape[1])}, sort_keys=True))

@@ -146,7 +146,9 @@ def _ranked_precision(scores: np.ndarray, labels: np.ndarray) -> tuple:
     """(hits [k, n] bool in rank order, precision [k, n] float64 at every
     rank) of each row of finite scores [k, n], ranked by _ranked_hits."""
     hits = _ranked_hits(scores, labels)
-    precision = np.cumsum(hits, axis=1, dtype=np.float64)
+    precision = hits.astype(np.float64)
+    # in place: a cumsum with dtype= casts through a second [k, n] buffer
+    np.cumsum(precision, axis=1, out=precision)
     precision /= np.arange(1, scores.shape[1] + 1)
     return hits, precision
 

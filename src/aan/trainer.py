@@ -24,6 +24,7 @@ from .attributes import select_anchor_prompt
 from .data import CorpusIndex, LoadedVideo, load_split, make_batches
 from .graph import (
     CoOccurrencePrior,
+    ForwardResult,
     Hyperparameters,
     ModelConfig,
     ModelState,
@@ -208,10 +209,11 @@ def load_corpus(index: CorpusIndex, dtype=np.float64) -> LoadedCorpus:
 
 
 def _video_loss(result, state: ModelState, anchors, config: TrainConfig, mode: str,
-                epoch: int, video: LoadedVideo):
+                epoch: int, video: LoadedVideo, rows: slice = slice(None)):
+    """The loss of `result`, the forward of `video`'s frames `rows`."""
     selected = select_anchor_prompt(anchors, mode, config.seed, epoch, video.video_id) \
         if state.config.ablation != "linear" else None
-    return total_loss(result, video.labels, selected,
+    return total_loss(result, video.labels[rows], selected,
                       attribute_weight=state.config.attribute_weight,
                       normalize_anchors=state.config.normalize_anchors)
 
@@ -220,6 +222,14 @@ def run_epoch(state: ModelState, corpus: LoadedCorpus, config: TrainConfig,
               mode: str) -> EpochReport:
     """One pass over a split: optimize on shuffled, cropped train batches; on
     val, score each whole video.  Both forward each video alone, unpadded.
+
+    Val forwards a video in chunks of EVAL_CHUNK frames (eval_forward):
+    frames [a, b) come from a forward over [a - h, b + h), clipped to the
+    video, with h = n_blocks * (kernel_size // 2) (eval_halo), so its
+    memory does not grow with the video.  A video's val loss is the sum
+    over chunks of the chunk's loss times its frames / T: each loss term is
+    a mean over frames, so that is the whole video's loss up to round-off,
+    and for a video of one chunk it is that loss bitwise.
 
     A train batch runs one backward per video, of its loss times 1/B, as soon
     as that loss is computed; leaf gradients accumulate across the B graphs
@@ -261,13 +271,19 @@ def run_epoch(state: ModelState, corpus: LoadedCorpus, config: TrainConfig,
             adam_step(active, state.adam)
     else:
         scored = []
-        with tn.no_grad():
-            for v in videos:
-                result = forward(v.features, None, state, "eval")
-                b = _video_loss(result, state, corpus.anchors, config, "eval", epoch, v)
-                losses.append((b.total.item(), b.action, b.attribute))
-                scored.append(VideoEval(v.video_id, tn.sigmoid(result.logits.data),
-                                        v.labels, v.mask))
+        for v in videos:
+            t = v.features.shape[0]
+            scores = np.empty((t, state.config.n_classes), state.config.np_dtype)
+            total = action = attribute = 0.0     # total adds in the model dtype
+            for rows, result in eval_forward(state, v.features):
+                scores[rows] = tn.sigmoid(result.logits.data)
+                b = _video_loss(result, state, corpus.anchors, config, "eval", epoch, v, rows)
+                share = (rows.stop - rows.start) / t
+                total += b.total.data * share
+                action += b.action * share
+                attribute += b.attribute * share
+            losses.append((float(total), action, attribute))
+            scored.append(VideoEval(v.video_id, scores, v.labels, v.mask))
         mean_ap = per_frame_map(EvalRun(scored)).mean_ap
 
     totals = actions = attributes = 0.0
@@ -289,11 +305,72 @@ def run_epoch(state: ModelState, corpus: LoadedCorpus, config: TrainConfig,
 # evaluation to score matrices
 # ---------------------------------------------------------------------------
 
+EVAL_CHUNK = 512
+"""Frames of a video whose logits one eval forward yields."""
+
+_HEAP_KEEP_BYTES = 16 << 20
+"""Size of the untouched block eval_forward frees before a video of more
+than one chunk.  glibc returns the free top of its heap to the system once
+it exceeds twice the largest block it has unmapped so far, and a chunk's
+forward frees its whole working set, so each chunk would fault its pages
+in afresh (about 4,300 faults a chunk on eval-tsu).  Freeing one block of
+this size raises that bound to 32 MiB.  No page of the block is touched,
+so resident memory does not grow (tracemalloc still counts the block);
+under another allocator it is a plain allocation and free."""
+
+
+def eval_halo(config: ModelConfig) -> int:
+    """Frames on each side that one frame's eval logits depend on.
+
+    In eval mode every stage but the temporal conv works frame by frame
+    (batch norm uses its running statistics, attention is per frame), and
+    each block's conv reaches kernel_size // 2 frames each way."""
+    if config.ablation != "full" or config.disable_temporal:
+        return 0
+    return config.n_blocks * (config.kernel_size // 2)
+
+
+def eval_forward(state: ModelState, features: np.ndarray):
+    """Yield (rows, result): the no-grad eval forward of one video [T, D0]
+    in chunks, `result` holding the logits and attributes of frames `rows`
+    as tensors outside any graph.
+
+    Frames [a, b) have the logits of a forward over [a - h, b + h), clipped
+    to the video, where h = eval_halo: at the video's ends the conv
+    zero-pads as the whole-video forward does, and at a window's inner
+    edges only frames within h of the edge see a cut neighbourhood.  Chunks
+    hold EVAL_CHUNK frames, so memory does not grow with T; a video of at
+    most EVAL_CHUNK frames is one forward over [0, T).
+    """
+    t = features.shape[0]
+    h = eval_halo(state.config)
+    if t > EVAL_CHUNK:
+        np.empty(_HEAP_KEEP_BYTES, np.uint8)     # freed at once: see _HEAP_KEEP_BYTES
+    for a in range(0, max(t, 1), EVAL_CHUNK):
+        b = min(a + EVAL_CHUNK, t)
+        lo = max(a - h, 0)
+        # no_grad ends before the yield, so a caller that stops early or
+        # raises does not leave graph building switched off
+        with tn.no_grad():
+            window = forward(features[lo:min(b + h, t)], None, state, "eval")
+        core = slice(a - lo, b - lo)
+        attributes = None if window.attributes is None else \
+            tn.Tensor(window.attributes.data[core])
+        yield slice(a, b), ForwardResult(tn.Tensor(window.logits.data[core]), attributes)
+
+
 def predict_scores(state: ModelState, features: np.ndarray) -> np.ndarray:
-    """Per-frame sigmoid class scores [T, C] for one video (eval mode)."""
-    with tn.no_grad():
-        result = forward(features, None, state, "eval")
-        return tn.sigmoid(result.logits.data)
+    """Per-frame sigmoid class scores [T, C] for one video (eval mode).
+
+    The video is forwarded in chunks of EVAL_CHUNK frames (eval_forward):
+    the scores of frames [a, b) come from a forward over [a - h, b + h),
+    clipped to the video, with h = n_blocks * (kernel_size // 2) (0 when no
+    temporal conv runs), so they equal the whole-video forward's up to
+    round-off, and bitwise for a video of at most EVAL_CHUNK frames."""
+    scores = np.empty((features.shape[0], state.config.n_classes), state.config.np_dtype)
+    for rows, result in eval_forward(state, features):
+        scores[rows] = tn.sigmoid(result.logits.data)
+    return scores
 
 
 def evaluate(state: ModelState, videos: list) -> EvalRun:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's vectorized code paths: plain Python
 loops over frames, pairs and ranks, or (for the ranking) one stable sort of
-every row, or (for a batch's gradients) one backward of the summed loss, so
-they can disagree with the implementation when the implementation is wrong.
+every row, or (for a batch's gradients) one backward of the summed loss, or
+(for eval) one forward of the whole video, so they can disagree with the
+implementation when the implementation is wrong.
 """
 
 import numpy as np
@@ -58,6 +59,27 @@ def summed_batch_gradients(params, losses):
         total = total + loss
     (total * (1.0 / len(losses))).backward()
     return {name: None if p.grad is None else p.grad.copy() for name, p in params.items()}
+
+
+def whole_video_eval(state, features, labels=None, anchors=None):
+    """(scores [T, C], (total, action, attribute) or None) of one video from a
+    single no-grad eval forward over all its frames, with no chunks: the
+    reference for the chunked eval forward.  The loss, given labels and an
+    AnchorSet, uses the eval prompt, as the val pass does."""
+    from aan import tensor as tn
+    from aan.graph import forward, total_loss
+
+    with tn.no_grad():
+        result = forward(features, None, state, "eval")
+        scores = tn.sigmoid(result.logits.data)
+        if labels is None:
+            return scores, None
+        selected = None if state.config.ablation == "linear" else \
+            anchors.anchors[:, 0, :].astype(np.float64)
+        b = total_loss(result, labels, selected,
+                       attribute_weight=state.config.attribute_weight,
+                       normalize_anchors=state.config.normalize_anchors)
+        return scores, (b.total.item(), b.action, b.attribute)
 
 
 def brute_force_prior(label_sets, attribute_map, n_attributes, frame_counts):

@@ -203,9 +203,11 @@ class TestTrain:
         ("[1]", [], "JSON object"),
         ("{", [], "not valid JSON"),
         (None, ["--n-heads", "0"], "n_heads must be positive"),
+        ('{"n_heads": 0}', [], "n_heads must be positive"),
+        ('{"plateau_factor": 1.5}', [], "plateau_factor must be in (0, 1)"),
     ], ids=["hidden-dim-string", "batch-size-fractional", "seed-string", "seed-null",
             "learning-rate-bool", "disable-attention-int", "not-an-object", "invalid-json",
-            "heads-0-flag"])
+            "heads-0-flag", "heads-0-file", "plateau-factor-out-of-range-file"])
     def test_ill_typed_config_exits_2_naming_key_and_file(self, tmp_path, capsys, text,
                                                           flags, key):
         args = ["train", "--manifest", str(tmp_path / "nope.json"),

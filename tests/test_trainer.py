@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oracles import summed_batch_gradients
+from oracles import summed_batch_gradients, whole_video_eval
 
 from aan import tensor as tn
 from aan.data import (LoadedVideo, SynthSpec, generate_synthetic_corpus, make_batches,
@@ -633,6 +633,111 @@ class TestEvaluate:
         run = evaluate(result.state, corpus.val)
         for v in run.videos:
             assert (v.scores >= 0).all() and (v.scores <= 1).all()
+
+
+CHUNK_WIRINGS = dict(WIRINGS, float32={"dtype": "float32"})
+
+
+def max_relative_gap(got, want) -> float:
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+class TestChunkedEval:
+    """predict_scores and the val pass forward a video in chunks of
+    EVAL_CHUNK frames, each with a halo of eval_halo frames; every frame's
+    score must be the whole-video forward's up to round-off."""
+
+    @pytest.mark.parametrize("frames", [512, 513, 1025])
+    @pytest.mark.parametrize("wiring", CHUNK_WIRINGS)
+    def test_chunked_scores_match_the_whole_video(self, monkeypatch, wiring, frames):
+        config = desk_config(**CHUNK_WIRINGS[wiring])
+        state = fresh_state(memory_corpus(), config)
+        features = np.random.default_rng(frames).standard_normal((frames, 8))
+        windows = []
+        real_forward = trainer_module.forward
+
+        def recording_forward(chunk, *args, **kwargs):
+            windows.append(chunk.shape[0])
+            return real_forward(chunk, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "forward", recording_forward)
+        got = trainer_module.predict_scores(state, features)
+        want, _ = whole_video_eval(state, features)
+        assert got.dtype == want.dtype == config.np_dtype
+        h = trainer_module.eval_halo(state.config)
+        assert h == (0 if wiring in ("extractor-only", "linear", "disable-temporal") else 2)
+        chunk = trainer_module.EVAL_CHUNK
+        assert windows == [min(a + chunk + h, frames) - max(a - h, 0)
+                           for a in range(0, frames, chunk)]
+        if frames <= chunk:      # one forward over [0, T): the whole video's, bitwise
+            npt.assert_array_equal(got, want)
+        assert max_relative_gap(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("wiring", ["full", "disable-attention"])
+    def test_halo_wider_than_the_chunk(self, monkeypatch, wiring):
+        monkeypatch.setattr(trainer_module, "EVAL_CHUNK", 2)
+        state = fresh_state(memory_corpus(), desk_config(n_blocks=5, **WIRINGS[wiring]))
+        assert trainer_module.eval_halo(state.config) == 5
+        features = np.random.default_rng(4).standard_normal((23, 8))
+        got = trainer_module.predict_scores(state, features)
+        want, _ = whole_video_eval(state, features)
+        assert max_relative_gap(got, want) <= 1e-12
+
+    def test_graph_building_is_on_between_chunks(self, monkeypatch):
+        monkeypatch.setattr(trainer_module, "EVAL_CHUNK", 4)
+        state = fresh_state(memory_corpus(), desk_config())
+        features = np.random.default_rng(5).standard_normal((10, 8))
+        chunks = trainer_module.eval_forward(state, features)
+        next(chunks)     # a caller that stops after the first chunk
+        assert forward(features, None, state, "train").logits.requires_grad
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("chunk", [512, 5])
+    def test_val_loss_matches_the_whole_video(self, monkeypatch, chunk, dtype):
+        monkeypatch.setattr(trainer_module, "EVAL_CHUNK", chunk)
+        corpus = memory_corpus()
+        config = desk_config(dtype=dtype)
+        state = fresh_state(corpus, config)
+        run_epoch(state, corpus, config, "train")
+        report = run_epoch(state, corpus, config, "val")
+        wants = [whole_video_eval(state, v.features, v.labels, corpus.anchors)[1]
+                 for v in corpus.val]
+        got = (report.mean_total, report.mean_action, report.mean_attribute)
+        longest = max(v.features.shape[0] for v in corpus.val)
+        if chunk >= longest:     # one chunk a video: the whole-video losses, bitwise
+            totals = actions = attributes = 0.0
+            for total, action, attribute in wants:
+                totals += total
+                actions += action
+                attributes += attribute
+            n = len(wants)
+            assert got == (totals / n, actions / n, attributes / n)
+        else:
+            assert longest > 3 * chunk
+            rtol = 1e-12 if dtype == "float64" else 1e-5
+            npt.assert_allclose(got, np.mean(wants, axis=0), rtol=rtol, atol=0)
+
+    def test_peak_memory_does_not_grow_with_the_video(self, monkeypatch):
+        # tracemalloc counts the untouched block freed to steer the allocator;
+        # without it the trace shows what the chunks hold
+        monkeypatch.setattr(trainer_module, "_HEAP_KEEP_BYTES", 0)
+        corpus = memory_corpus(SynthSpec(video_count=12, max_frames=24, seed=2))
+        config = desk_config()
+        dims = (corpus.train[0].features.shape[1], corpus.anchors.attribute_count,
+                corpus.train[0].labels.shape[1])
+        prior = prior_from_dense([v.labels for v in corpus.train], corpus.attribute_map, dims[1])
+        state = init_model_state(config.model_config(*dims), prior, seed=0)
+        rng = np.random.default_rng(9)
+        chunk = trainer_module.EVAL_CHUNK
+
+        def peak(frames):
+            features = rng.standard_normal((frames, dims[0]))
+            return traced(lambda: trainer_module.predict_scores(state, features))[2]
+
+        short, long = peak(2 * chunk), peak(8 * chunk)
+        assert long <= 1.1 * short, \
+            f"{8 * chunk} frames peak at {long / 2 ** 20:.2f} MB, " \
+            f"{2 * chunk} at {short / 2 ** 20:.2f} MB"
 
 
 class TestTrainOutputs:
