@@ -111,21 +111,28 @@ def cmd_build_prior(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
+def _checked_train_config(doc) -> TrainConfig:
+    config = TrainConfig.from_dict(doc)
+    config.validate()
+    return config
+
+
 def _train_config(args) -> TrainConfig:
     """The --config file's values, overridden by each flag given, validated;
-    a profile named in the file wins over --profile."""
+    a profile named in the file wins over --profile.  An error names the
+    file unless the flags alone, over --profile, are invalid too; then the
+    flags' own error is raised."""
     flags = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
              if getattr(args, f.name, None) is not None}
+    if not args.config:
+        return _checked_train_config({"profile": args.profile, **flags})
     try:
-        doc = json.loads(Path(args.config).read_text()) if args.config else {}
+        doc = json.loads(Path(args.config).read_text())
         if isinstance(doc, dict):
             doc = {"profile": args.profile, **doc, **flags}
-        config = TrainConfig.from_dict(doc)
-        config.validate()
-        return config
+        return _checked_train_config(doc)
     except ValueError as exc:
-        if not args.config:
-            raise
+        _checked_train_config({"profile": args.profile, **flags})
         what = "not valid JSON: " if isinstance(exc, json.JSONDecodeError) else ""
         raise ValueError(f"{args.config}: {what}{exc}") from None
 

@@ -303,11 +303,18 @@ def attention_adjacency(x_heads: Tensor, w1: Tensor, w2: Tensor,
     probability vector plus the corresponding prior row, so rows sum to
     1 + sum(prior row).  The prior is added after the softmax, without
     renormalization.
+
+    The [H, T, N, N] scores are the largest array of the forward, and the
+    softmax sees them as H*T*N rows of only N keys.  `softmax_lastaxis`
+    therefore takes SOFTMAX_BLOCK rows at a time keys-outer, as [N, rows],
+    and adds the prior (cast once to the model dtype) to each block before
+    writing it back, so no [H, T, N, N] softmax is left to add it to; its
+    sums keep numpy's order, so the adjacency is bitwise softmax(scores) +
+    prior.
     """
     queries = per_head(x_heads, w1)
     keys = per_head(x_heads, w2)
-    attention = softmax_lastaxis(queries @ keys.transpose((0, 1, 3, 2)))
-    return attention + Tensor(prior.astype(x_heads.data.dtype))
+    return softmax_lastaxis(queries @ keys.transpose((0, 1, 3, 2)), prior)
 
 
 def graph_conv(x_heads: Tensor, adjacency: Tensor, w3: Tensor) -> Tensor:

@@ -317,18 +317,119 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return y
 
 
-def softmax_lastaxis(x: Tensor) -> Tensor:
-    """Row-stable softmax over the last axis."""
-    s = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    out = _result(s, (x,))
-    if out._parents:
+SOFTMAX_BLOCK = 2048
+"""Rows of [R, N] that `softmax_lastaxis` takes at once (rounded down to a
+multiple of the addend's row period).  Its keys-outer copy, [N, 2048], is
+256 KiB in float64 at N = 16, so a block's passes run in cache."""
+
+
+def _row_sums(w: np.ndarray) -> np.ndarray:
+    """Sums over axis 0 of a keys-outer w[N, b]: column j added up in exactly
+    the order numpy's `x.sum(axis=-1)` adds a contiguous row of N, so each sum
+    is bitwise numpy's.
+
+    That order is 0.0 plus numpy's pairwise sum: below 8 values a sequential
+    sum; up to 128, eight interleaved accumulators, then
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail in sequence; above
+    128, the same on two halves split at a multiple of 8, added.  The 0.0
+    only turns a -0.0 sum into +0.0, so adding it to each half as well
+    changes nothing.
+    """
+    n = w.shape[0]
+    if n < 8:
+        res = w[0] + 0.0
+        for row in w[1:]:
+            res += row
+        return res
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        res = _row_sums(w[:half])
+        res += _row_sums(w[half:])
+        return res
+    acc = w[:8].copy()
+    for i in range(8, n - n % 8, 8):
+        acc += w[i:i + 8]
+    r = acc[0::2] + acc[1::2]
+    r[0] += r[1]
+    r[2] += r[3]
+    res = r[0]
+    res += r[2]
+    for row in w[n - n % 8:]:
+        res += row
+    res += 0.0
+    return res
+
+
+def softmax_lastaxis(x: Tensor, addend: np.ndarray | None = None) -> Tensor:
+    """Row-stable softmax over the last axis, plus a constant `addend`.
+
+    `addend` (no gradient flows to it) has the shape of the trailing axes of
+    x and is cast to x's dtype; graph attention passes the [N, N] prior.
+
+    Keys-outer layout.  The rows, viewed as [R, N], are taken SOFTMAX_BLOCK at
+    a time; each block is copied transposed to a contiguous [N, b] array, so
+    the max, the subtract, exp, the sum and the divide each run as a few
+    passes over b-long rows in place of one numpy reduction per row of only
+    N values.  The addend, tiled once to keys-outer [N, b], is added to the
+    block in that layout just before it is written back transposed, so it
+    costs no pass over the whole output and no temporary of its size.  The
+    backward, s * (g - sum(g * s)), runs in the same layout.  The sums follow
+    numpy's last-axis order (`_row_sums`), so every value is bitwise the plain
+    formula's: x - max, exp, / sum, then + addend.
+    """
+    n = x.shape[-1]
+    dt = x.data.dtype
+    rows = x.data.reshape(-1, n)
+    count = rows.shape[0]
+    period = 1
+    if addend is not None:
+        addend = np.asarray(addend).astype(dt, copy=False)
+        if addend.ndim == 0 or addend.shape != x.shape[x.ndim - addend.ndim:]:
+            raise DimensionError(f"softmax addend shape {addend.shape} is not a trailing "
+                                 f"part of input shape {x.shape}")
+        addend = addend.reshape(-1, n)
+        period = addend.shape[0]
+    block = max(period, SOFTMAX_BLOCK - SOFTMAX_BLOCK % period)
+    width = min(block, count)
+    work = np.empty(n * width, dt)
+    if addend is not None:
+        addend = np.tile(addend.T, width // period)     # keys-outer, [N, width]
+
+    tracked = _grad_enabled and x.requires_grad
+    out = np.empty((count, n), dt)
+    s = np.empty((count, n), dt) if tracked and addend is not None else out
+    for r0 in range(0, count, block):
+        b = min(block, count - r0)
+        w = work[:n * b].reshape(n, b)
+        w[...] = rows[r0:r0 + b].T
+        w -= w.max(axis=0)
+        np.exp(w, out=w)
+        w /= _row_sums(w)
+        if s is not out:
+            s[r0:r0 + b] = w.T
+        if addend is not None:
+            w += addend[:, :b]
+        out[r0:r0 + b] = w.T
+
+    result = _result(out.reshape(x.shape), (x,))
+    if result._parents:
         def backward(g):
-            dot = (g * s).sum(axis=-1, keepdims=True)
-            _accumulate(x, s * (g - dot))
-        out._backward = backward
-    return out
+            g = np.reshape(g, (-1, n))
+            gx = np.empty((count, n), dt)
+            sw, gw, prod = (np.empty_like(work) for _ in range(3))
+            for r0 in range(0, count, block):
+                b = min(block, count - r0)
+                sb, gb, pb = (a[:n * b].reshape(n, b) for a in (sw, gw, prod))
+                sb[...] = s[r0:r0 + b].T
+                gb[...] = g[r0:r0 + b].T
+                np.multiply(gb, sb, out=pb)
+                gb -= _row_sums(pb)
+                np.multiply(sb, gb, out=gb)
+                gx[r0:r0 + b] = gb.T
+            _accumulate(x, gx.reshape(x.shape))
+        result._backward = backward
+    return result
 
 
 BN_EPS = 1e-5

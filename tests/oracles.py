@@ -189,3 +189,19 @@ def random_label_instance(rng):
         label_sets.append(IntervalLabelSet(f"v{v}", n_classes, intervals))
         frame_counts.append(t)
     return n_attributes, amap, label_sets, frame_counts
+
+
+def plain_softmax(x, addend=None):
+    """Softmax over the last axis by the plain formula, one numpy reduction
+    per row: x - max, exp, / sum, then + addend where one is given."""
+    s = x - x.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s if addend is None else s + addend
+
+
+def plain_softmax_backward(s, g):
+    """The input gradient of the plain softmax, given its output s (without
+    any addend) and the output gradient g: s * (g - sum(g * s))."""
+    dot = (g * s).sum(axis=-1, keepdims=True)
+    return s * (g - dot)

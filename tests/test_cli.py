@@ -223,6 +223,26 @@ class TestTrain:
         assert (str(config_path) in err) == (text is not None)
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("text, flags, message, names_file", [
+        ('{"profile": "desk"}', ["--n-heads", "0"], "n_heads must be positive", False),
+        ('{"hidden_dim": 0}', ["--n-heads", "0"], "n_heads must be positive", False),
+        ('{"n_heads": 3}', ["--hidden-dim", "16"], "must be divisible by n_heads 3", True),
+        ('{"hidden_dim": 0}', ["--n-heads", "2"], "hidden_dim must be positive", True),
+    ], ids=["flag-out-of-range", "flag-and-file-out-of-range", "file-with-flag-indivisible",
+            "file-out-of-range-with-flag"])
+    def test_range_error_names_the_file_only_when_the_flags_alone_are_valid(
+            self, tmp_path, capsys, text, flags, message, names_file):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(text)
+        code = run_cli(["train", "--manifest", str(tmp_path / "nope.json"),
+                        "--out-dir", str(tmp_path / "run"), "--config", str(config_path)]
+                       + flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and "nope.json" not in err
+        assert (str(config_path) in err) == names_file, err
+        assert not (tmp_path / "run").exists()
+
     def test_config_file_values_stand_where_no_flag_is_given(self, trained, tmp_path, capsys):
         corpus, _ = trained
         config_path = tmp_path / "config.json"

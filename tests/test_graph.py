@@ -188,9 +188,10 @@ class TestAttention:
         assert (a.data >= 0).all()
 
     def test_eval_peak_memory_is_about_two_adjacencies(self):
-        # eval on a long video: the [T, H, N, N] arrays dominate.  Scores turn
-        # into the softmax in place, so at most the softmax and the adjacency
-        # (plus the small queries and keys) are alive at once.
+        # eval on a long video: the [H, T, N, N] arrays dominate.  The softmax
+        # takes the scores a block of rows at a time and adds the prior to each
+        # block before writing it out, so at most the scores and the adjacency
+        # (plus the small queries, keys and one block) are alive at once.
         rng = np.random.default_rng(27)
         t, h, n, dh = 500, 4, 16, 4
         x = Tensor(rng.standard_normal((h, t, n, dh)))
@@ -203,6 +204,37 @@ class TestAttention:
         finally:
             tracemalloc.stop()
         assert peak < 3 * a.data.nbytes, f"peak {peak / a.data.nbytes:.2f} adjacencies"
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_no_grad_forward_is_bitwise_the_graph_building_one(self, dtype):
+        rng = np.random.default_rng(32)
+        h, t, n, dh = 2, 130, 16, 4          # 4,160 rows: three blocks
+        assert h * t * n > 2 * tn.SOFTMAX_BLOCK
+        x, w1, w2 = (rng.standard_normal(shape).astype(dtype)
+                     for shape in ((h, t, n, dh), (h, dh, dh), (h, dh, dh)))
+        p = rng.random((n, n))
+        built = attention_adjacency(*(Tensor(a, requires_grad=True) for a in (x, w1, w2)), p)
+        assert built._parents
+        with tn.no_grad():
+            plain = attention_adjacency(Tensor(x), Tensor(w1), Tensor(w2), p)
+        assert plain.data.dtype == dtype
+        bits = np.uint64 if dtype == np.float64 else np.uint32
+        assert np.array_equal(plain.data.view(bits), built.data.view(bits))
+
+    def test_gradcheck_over_more_than_one_block_of_rows(self):
+        rng = np.random.default_rng(33)
+        h, t, n, dh = 2, 130, 8, 2           # 2,080 rows: one block and a part
+        assert h * t * n > tn.SOFTMAX_BLOCK
+        x = Tensor(rng.standard_normal((h, t, n, dh)))
+        p = rng.random((n, n))
+        weights = rng.standard_normal((h, t, n, n))
+
+        def f(ts):
+            return (attention_adjacency(x, ts["w1"], ts["w2"], p) * Tensor(weights)).sum()
+
+        result = grad_check(f, {"w1": rng.standard_normal((h, dh, dh)),
+                                "w2": rng.standard_normal((h, dh, dh))})
+        assert result.max_rel_err <= 1e-5, result.per_input
 
 
 class TestHeadsMajorBlock:

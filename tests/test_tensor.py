@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from oracles import plain_softmax, plain_softmax_backward
 
 from aan import tensor as tn
 from aan.optim import clip_global_norm, grad_check
@@ -168,6 +169,27 @@ class TestBatchNorm:
         assert result.passed, result.per_input
 
 
+SOFTMAX_KEYS = (1, 2, 7, 8, 9, 16, 20, 33, 128, 129, 300)
+
+
+def assert_bitwise(actual, expected, case=""):
+    bits = np.uint64 if expected.dtype == np.float64 else np.uint32
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape, case
+    assert np.array_equal(actual.view(bits), expected.view(bits)), case
+
+
+def _softmax_input(rng, count, n, dtype):
+    """count random rows of n, the first ones (as many as fit) all equal,
+    alternating +-700, all -700, and signed zeros."""
+    x = rng.standard_normal((count, n)) * 10
+    keys = np.arange(n)
+    special = (np.full(n, 3.25), np.where(keys % 2, 700.0, -700.0), np.full(n, -700.0),
+               np.where(keys % 3, -0.0, 0.0))
+    for row, values in zip(x, special):
+        row[:] = values
+    return x.astype(dtype)
+
+
 class TestSoftmax:
     def test_symmetry(self):
         npt.assert_allclose(softmax_lastaxis(Tensor([0.0, 0.0])).data, [0.5, 0.5])
@@ -200,6 +222,72 @@ class TestSoftmax:
             return (softmax_lastaxis(t["x"]) * Tensor(weights)).sum()
 
         assert grad_check(f, {"x": rng.standard_normal((2, 4))}).passed
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", SOFTMAX_KEYS)
+    def test_bitwise_the_plain_formula(self, dtype, n):
+        # row counts of 0, one period of the addend, and one block and one
+        # period either side of it, with no addend, a per-key addend and a
+        # prior-shaped [N, N] one
+        rng = np.random.default_rng(n)
+        for addend_shape in (None, (n,), (n, n)):
+            period = n if addend_shape == (n, n) else 1
+            block = max(period, tn.SOFTMAX_BLOCK - tn.SOFTMAX_BLOCK % period)
+            addend = None if addend_shape is None else rng.random(addend_shape).astype(dtype)
+            for count in (0, period, block - period, block, block + period):
+                x = _softmax_input(rng, count, n, dtype)
+                if addend_shape == (n, n):
+                    x = x.reshape(-1, n, n)
+                case = f"addend {addend_shape}, {count} rows"
+                expected = plain_softmax(x, addend)
+                with tn.no_grad():
+                    assert_bitwise(softmax_lastaxis(Tensor(x), addend).data, expected, case)
+                t = Tensor(x, requires_grad=True)
+                out = softmax_lastaxis(t, addend)
+                assert_bitwise(out.data, expected, case)
+                g = rng.standard_normal(x.shape).astype(dtype)
+                out.backward(g)
+                assert_bitwise(t.grad, plain_softmax_backward(plain_softmax(x), g), case)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_nan_or_inf_row_comes_out_as_in_the_plain_formula(self, bad):
+        rng = np.random.default_rng(31)
+        for dtype in (np.float64, np.float32):
+            for n in SOFTMAX_KEYS:
+                x = rng.standard_normal((3, n)).astype(dtype)
+                x[1, n // 2] = bad
+                g = rng.standard_normal(x.shape).astype(dtype)
+                t = Tensor(x, requires_grad=True)
+                with np.errstate(invalid="ignore"):
+                    out = softmax_lastaxis(t)
+                    out.backward(g)
+                    expected = plain_softmax(x)
+                    grad = plain_softmax_backward(expected, g)
+                assert_bitwise(out.data, expected, f"{dtype.__name__}, {n} keys")
+                assert_bitwise(t.grad, grad, f"{dtype.__name__}, {n} keys")
+
+    def test_addend_must_be_trailing_axes_of_the_input(self):
+        with pytest.raises(DimensionError, match=r"\(3,\).*\(2, 4\)"):
+            softmax_lastaxis(Tensor(np.zeros((2, 4))), np.zeros(3))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_row_sums_add_in_numpys_last_axis_order(dtype):
+    """The softmax is bitwise the plain formula only while tensor._row_sums adds
+    in numpy's own order; a numpy that sums rows differently fails here."""
+    rng = np.random.default_rng(32)
+    for n in range(1, 301):
+        zeros = rng.choice([0.0, -0.0], (16, n))
+        zeros[0] = -0.0
+        rows = {
+            "random": rng.standard_normal((16, n)),
+            "signed-zero": zeros,
+            "wide-exponent": rng.standard_normal((16, n)) * 2.0 ** rng.integers(-60, 61, (16, n)),
+        }
+        for kind, x in rows.items():
+            x = x.astype(dtype)
+            assert_bitwise(tn._row_sums(np.ascontiguousarray(x.T)), x.sum(axis=-1),
+                           f"tensor._row_sums does not add {kind} rows of {n} as numpy does")
 
 
 class TestBceWithLogits:
